@@ -1,5 +1,8 @@
 #include "candle/runner.h"
 
+#include <cstring>
+#include <vector>
+
 #include "common/error.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
@@ -26,7 +29,7 @@ void write_dataset_csv(const std::string& path, const nn::Dataset& data,
   const std::vector<std::size_t> labels =
       classifier ? argmax_rows(data.y) : std::vector<std::size_t>{};
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < f; ++j) row[j] = data.x.at(i, j);
+    std::memcpy(row.data(), data.x.data() + i * f, f * sizeof(float));
     if (classifier) {
       // Label in column 0 (NT3/P1B2 layout).
       writer.write_labeled_row(static_cast<long long>(labels[i]), row);
@@ -48,26 +51,27 @@ void write_dataset_csv(const std::string& path, const nn::Dataset& data,
 nn::Dataset frame_to_dataset(io::DataFrame&& df, BenchmarkId id,
                              std::size_t classes) {
   const std::size_t n = df.rows;
-  if (benchmark_is_classification(id)) {
+  if (benchmark_is_classification(id) || id == BenchmarkId::kP1B3) {
+    // Column 0 is the label (class index or regression target); the rest
+    // of each row is copied whole into the feature matrix.
+    require(df.cols >= 1 && df.data.size() == n * df.cols,
+            "frame_to_dataset: frame shape does not match its data");
     const std::size_t f = df.cols - 1;
     Tensor x({n, f});
+    std::vector<float> label_col(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const float* row = df.data.data() + i * df.cols;
+      label_col[i] = row[0];
+      std::memcpy(x.data() + i * f, row + 1, f * sizeof(float));
+    }
+    if (id == BenchmarkId::kP1B3)
+      return nn::Dataset{std::move(x), Tensor({n, std::size_t{1}}, label_col)};
     std::vector<std::size_t> labels(n);
     for (std::size_t i = 0; i < n; ++i) {
-      labels[i] = static_cast<std::size_t>(df.at(i, 0));
+      labels[i] = static_cast<std::size_t>(label_col[i]);
       require(labels[i] < classes, "frame_to_dataset: label out of range");
-      for (std::size_t j = 0; j < f; ++j) x.at(i, j) = df.at(i, j + 1);
     }
     return nn::Dataset{std::move(x), nn::one_hot(labels, classes)};
-  }
-  if (id == BenchmarkId::kP1B3) {
-    const std::size_t f = df.cols - 1;
-    Tensor x({n, f});
-    Tensor y({n, std::size_t{1}});
-    for (std::size_t i = 0; i < n; ++i) {
-      y.at(i, 0) = df.at(i, 0);
-      for (std::size_t j = 0; j < f; ++j) x.at(i, j) = df.at(i, j + 1);
-    }
-    return nn::Dataset{std::move(x), std::move(y)};
   }
   // Autoencoder: y == x.
   Tensor x = std::move(df).to_tensor();

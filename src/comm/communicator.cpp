@@ -1,6 +1,7 @@
 #include "comm/communicator.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <exception>
 #include <string>
@@ -794,26 +795,38 @@ std::vector<CommStats> World::run(
     WorldOptions options) {
   World world(size, options);
   std::vector<std::exception_ptr> errors(size);
+  // Failure order: a failing rank draws its ticket before it leaves the
+  // barrier group, so a survivor that fails *because* of it (a collective
+  // its peer never joined) always draws a later one.
+  std::vector<std::size_t> failure_ticket(size, 0);
+  std::atomic<std::size_t> next_ticket{0};
   std::vector<CommStats> stats(size);
   std::vector<std::thread> threads;
   threads.reserve(size);
   for (std::size_t r = 0; r < size; ++r) {
-    threads.emplace_back([&world, &body, &errors, &stats, r] {
-      Communicator comm(world, r);
-      try {
-        body(comm);
-      } catch (...) {
-        errors[r] = std::current_exception();
-        // Leave the barrier group so surviving ranks cannot deadlock
-        // waiting for this rank (MPI would abort the whole job here).
-        world.barrier_.arrive_and_drop();
-      }
-      stats[r] = comm.stats();
-    });
+    threads.emplace_back(
+        [&world, &body, &errors, &failure_ticket, &next_ticket, &stats, r] {
+          Communicator comm(world, r);
+          try {
+            body(comm);
+          } catch (...) {
+            errors[r] = std::current_exception();
+            failure_ticket[r] = next_ticket.fetch_add(1);
+            // Leave the barrier group so surviving ranks cannot deadlock
+            // waiting for this rank (MPI would abort the whole job here).
+            world.barrier_.arrive_and_drop();
+          }
+          stats[r] = comm.stats();
+        });
   }
   for (auto& t : threads) t.join();
-  for (const auto& err : errors)
-    if (err) std::rethrow_exception(err);
+  // Rethrow the root cause: the earliest failure, not the lowest rank's.
+  std::size_t first = size;
+  for (std::size_t r = 0; r < size; ++r)
+    if (errors[r] &&
+        (first == size || failure_ticket[r] < failure_ticket[first]))
+      first = r;
+  if (first < size) std::rethrow_exception(errors[first]);
   return stats;
 }
 

@@ -246,7 +246,8 @@ class World {
   [[nodiscard]] const WorldOptions& options() const { return options_; }
 
   /// Spawns `size` threads, each running `body` with its Communicator.
-  /// Rethrows the first exception thrown by any rank (after joining all).
+  /// After joining all, rethrows the exception of the rank that failed
+  /// first in time — the root cause, not a survivor's follow-on error.
   /// Returns the per-rank CommStats.
   static std::vector<CommStats> run(
       std::size_t size, const std::function<void(Communicator&)>& body,

@@ -481,7 +481,7 @@ DecodeInt8Fn select_int8_decode_add() {
 }
 
 /// Per-hop ring segments below this many elements convert inline on the
-/// calling thread; larger buffers fan out over the shared pool.
+/// calling thread; larger buffers fan out over its parallel team.
 constexpr std::size_t kConvertGrain = 1u << 16;
 
 }  // namespace

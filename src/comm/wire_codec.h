@@ -197,7 +197,7 @@ void quantization_residual(WireDtype dtype, const float* data,
                            float* residual, std::size_t n);
 
 // --- candle::parallel-threaded wrappers -----------------------------------
-// Chunked over the shared pool with a grain large enough that per-hop ring
+// Chunked over candle::parallel with a grain large enough that per-hop ring
 // segments below it run inline on the calling (rank/comm) thread; pool
 // workers only ever touch the src/dst buffers, never the communicator. The
 // int8 wrappers partition on kInt8ChunkElems boundaries so the scale grid —

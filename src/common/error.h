@@ -42,7 +42,15 @@ class OutOfMemory : public Error {
   explicit OutOfMemory(const std::string& what) : Error(what) {}
 };
 
-/// Throws InvalidArgument with `msg` when `cond` is false.
+/// Throws InvalidArgument with `msg` when `cond` is false. The literal
+/// overload keeps a passing check free of allocation: a `std::string`
+/// parameter would build one from every literal longer than the SSO
+/// buffer, even when `cond` holds. Messages that need formatting belong
+/// on the failing branch (`if (!cond) throw InvalidArgument(...)`) in hot
+/// loops, for the same reason.
+inline void require(bool cond, const char* msg) {
+  if (!cond) throw InvalidArgument(msg);
+}
 inline void require(bool cond, const std::string& msg) {
   if (!cond) throw InvalidArgument(msg);
 }

@@ -15,8 +15,8 @@ struct Held {
 // Per-thread stack of tracked locks, pushed in acquisition order. A fixed
 // POD array rather than a vector: trivially constructible and destructible,
 // so the tracker stays valid during static initialization and — critically —
-// during thread/process teardown, where e.g. the parallel Pool's static
-// destructor still locks its mutexes after thread_local destructors ran.
+// during thread/process teardown, where e.g. an exiting thread's parallel
+// team lease still locks the registry mutex from a thread_local destructor.
 constexpr std::size_t kMaxHeld = 32;
 thread_local Held t_held[kMaxHeld];
 thread_local std::size_t t_depth = 0;

@@ -39,8 +39,8 @@ inline constexpr int kServeAdmission = 80;   // serve::MicroBatcher::mutex_
 inline constexpr int kBatchPipeline = 70;    // nn::BatchPipeline::mutex_
 inline constexpr int kBucketScheduler = 60;  // hvd::BucketScheduler::mutex_
 inline constexpr int kRunnerResult = 50;     // candle runner result_mutex
-inline constexpr int kParallelRegion = 40;   // parallel Pool::region_mutex_
-inline constexpr int kParallelDispatch = 30; // parallel Pool::mutex_
+inline constexpr int kParallelRegistry = 40; // parallel Registry::mutex_
+inline constexpr int kParallelDispatch = 30; // parallel Team::mutex_
 inline constexpr int kCommRendezvous = 20;   // comm::World::reg_mutex_
 inline constexpr int kPhaseLedger = 14;      // hvd::PhaseLedger::mutex_
 inline constexpr int kTimeline = 12;         // trace::Timeline::mutex_

@@ -1,7 +1,9 @@
 #include "common/parallel.h"
 
+#include <atomic>
 #include <cstdlib>
 #include <exception>
+#include <memory>
 #include <thread>
 #include <utility>
 
@@ -11,85 +13,76 @@
 namespace candle::parallel {
 namespace {
 
-// Set while the current thread is inside a parallel region — on a pool
+using ChunkTable = std::vector<std::pair<std::size_t, std::size_t>>;
+
+// Set while the current thread is inside a parallel region — on a team
 // worker for the whole dispatch, on the calling thread while it executes
 // its own chunk. Any parallel_for seen with this flag runs inline, which
 // makes nested regions (gemm inside a parallelized layer loop) safe.
 thread_local bool tl_in_parallel = false;
 
-/// Process-wide worker pool. Thread 0 is always the calling thread; the
-/// pool owns threads 1..width-1. Regions are serialized by region_mutex_:
-/// concurrent top-level callers (rank-per-thread tests) queue rather than
-/// interleave, so chunk indices always map to one region at a time.
-class Pool {
+/// Width of every caller's next top-level region; 0 until first resolved.
+std::atomic<std::size_t> g_width{0};
+
+std::size_t default_width() {
+  const std::size_t hw = std::thread::hardware_concurrency();
+  return detail::parse_thread_count(std::getenv("CANDLE_NUM_THREADS"),
+                                    hw > 0 ? hw : 1);
+}
+
+/// One caller's workers. The leasing thread is thread 0 and the team owns
+/// threads 1..width-1. Only the leasing thread dispatches, so regions need
+/// no gate: workers_, stride_ and the shape of errors_ change only on that
+/// thread between regions, and the registry's mutex orders the hand-over
+/// from one leaseholder to the next.
+class Team {
  public:
-  static Pool& instance() {
-    static Pool pool;
-    return pool;
-  }
+  Team() = default;
+  Team(const Team&) = delete;
+  Team& operator=(const Team&) = delete;
+  ~Team() { stop_workers(); }
 
-  std::size_t width() {
-    MutexLock region(region_mutex_);
-    return width_locked();
-  }
-
-  void resize(std::size_t n) {
-    require(n >= 1, "parallel::set_num_threads: thread count must be >= 1");
-    MutexLock region(region_mutex_);
-    if (started_ && n == width_locked()) return;
-    stop_workers();
-    spawn_workers(n);
-  }
-
-  /// Runs fn(chunk) once for every chunk in [0, chunks); chunk i is
-  /// statically owned by thread (i % width). The caller participates as
-  /// thread 0 and the call returns after every chunk completed, rethrowing
-  /// the exception of the lowest-indexed failing chunk.
-  void run(std::size_t chunks, const std::function<void(std::size_t)>& fn) {
-    MutexLock region(region_mutex_);
-    if (!started_) spawn_workers(default_width());
-    errors_.assign(chunks, nullptr);
+  /// Runs fn over every chunk of `chunks` (offset by `begin`) at `width`;
+  /// chunk i is statically owned by thread (i % width). The caller
+  /// participates as thread 0 and the call returns after every chunk
+  /// completed, rethrowing the exception of the lowest-indexed failing
+  /// chunk. Resizes the team first when the width changed.
+  void run(std::size_t width, std::size_t begin, const ChunkTable& chunks,
+           const ChunkFn& fn) {
+    if (workers_.size() + 1 != width) {
+      stop_workers();
+      spawn_workers(width);
+    }
+    errors_.assign(chunks.size(), nullptr);
+    const Region region{begin, &chunks, &fn};
     {
       MutexLock lock(mutex_);
-      chunk_fn_ = &fn;
-      chunks_ = chunks;
+      region_ = region;
       pending_ = workers_.size();
       ++generation_;
     }
     wake_.notify_all();
-    run_chunks(0, chunks, fn);
+    run_chunks(0, region);
     {
       MutexLock lock(mutex_);
       done_.wait(mutex_, [this]() CANDLE_REQUIRES(mutex_) {
         return pending_ == 0;
       });
-      chunk_fn_ = nullptr;
+      region_ = Region{};
     }
     for (std::exception_ptr& err : errors_)
       if (err) std::rethrow_exception(err);
   }
 
  private:
-  Pool() = default;
+  /// The region in flight, as the workers see it.
+  struct Region {
+    std::size_t begin = 0;
+    const ChunkTable* chunks = nullptr;
+    const ChunkFn* fn = nullptr;
+  };
 
-  ~Pool() {
-    MutexLock region(region_mutex_);
-    stop_workers();
-  }
-
-  std::size_t width_locked() CANDLE_REQUIRES(region_mutex_) {
-    if (!started_) spawn_workers(default_width());
-    return workers_.size() + 1;
-  }
-
-  static std::size_t default_width() {
-    const std::size_t hw = std::thread::hardware_concurrency();
-    return detail::parse_thread_count(std::getenv("CANDLE_NUM_THREADS"),
-                                      hw > 0 ? hw : 1);
-  }
-
-  void spawn_workers(std::size_t n) CANDLE_REQUIRES(region_mutex_) {
-    started_ = true;
+  void spawn_workers(std::size_t n) {
     // Written only while no worker exists (before the spawns below, after
     // the joins in stop_workers), so workers can read it lock-free.
     stride_ = n;
@@ -106,7 +99,8 @@ class Pool {
       workers_.emplace_back([this, id, gen0] { worker_main(id, gen0); });
   }
 
-  void stop_workers() CANDLE_REQUIRES(region_mutex_) {
+  void stop_workers() {
+    if (workers_.empty()) return;
     {
       MutexLock lock(mutex_);
       stopping_ = true;
@@ -121,13 +115,14 @@ class Pool {
   /// Executes the chunks this thread owns: id, id + width, id + 2*width...
   /// The static stride assignment keeps ownership deterministic, though
   /// determinism of results only needs the chunk *boundaries* fixed.
-  void run_chunks(std::size_t id, std::size_t chunks,
-                  const std::function<void(std::size_t)>& fn) {
+  void run_chunks(std::size_t id, const Region& region) {
     const std::size_t stride = stride_;
+    const ChunkTable& chunks = *region.chunks;
     tl_in_parallel = true;
-    for (std::size_t c = id; c < chunks; c += stride) {
+    for (std::size_t c = id; c < chunks.size(); c += stride) {
       try {
-        fn(c);
+        (*region.fn)(region.begin + chunks[c].first,
+                     region.begin + chunks[c].second);
       } catch (...) {
         errors_[c] = std::current_exception();
       }
@@ -137,8 +132,7 @@ class Pool {
 
   void worker_main(std::size_t id, std::uint64_t seen) {
     while (true) {
-      const std::function<void(std::size_t)>* fn = nullptr;
-      std::size_t chunks = 0;
+      Region region;
       {
         MutexLock lock(mutex_);
         wake_.wait(mutex_, [&]() CANDLE_REQUIRES(mutex_) {
@@ -146,10 +140,9 @@ class Pool {
         });
         if (stopping_) return;
         seen = generation_;
-        fn = chunk_fn_;
-        chunks = chunks_;
+        region = region_;
       }
-      run_chunks(id, chunks, *fn);
+      run_chunks(id, region);
       {
         MutexLock lock(mutex_);
         --pending_;
@@ -158,15 +151,7 @@ class Pool {
     }
   }
 
-  /// Serializes whole regions (and resize) against each other. Held across
-  /// the caller's own chunk execution, so chunk bodies may acquire any lock
-  /// below kParallelRegion (dispatch, rendezvous, timeline, log) but never a
-  /// scheduler-level lock — the lock-hierarchy analyzer enforces this.
-  AnnotatedMutex region_mutex_{
-      CANDLE_LOCK_LEVEL(lock_order::level::kParallelRegion),
-      "parallel::Pool::region_mutex_"};
-  bool started_ CANDLE_GUARDED_BY(region_mutex_) = false;
-  std::vector<std::thread> workers_ CANDLE_GUARDED_BY(region_mutex_);
+  std::vector<std::thread> workers_;
   /// Per-chunk exceptions; distinct chunks write distinct slots, and the
   /// vector is only reshaped between regions. Not lock-protected by design.
   std::vector<std::exception_ptr> errors_;
@@ -174,19 +159,92 @@ class Pool {
   /// is safe to read without a lock.
   std::size_t stride_ = 1;
 
-  /// Dispatch state for the region in flight. Acquired while holding
-  /// region_mutex_ (the repo's one intentionally nested pair).
+  /// Dispatch state for the region in flight. Never held while a chunk
+  /// body runs, so chunk bodies may take any lock their caller could.
   AnnotatedMutex mutex_{CANDLE_LOCK_LEVEL(lock_order::level::kParallelDispatch),
-                        "parallel::Pool::mutex_"};
+                        "parallel::Team::mutex_"};
   AnnotatedCondVar wake_;
   AnnotatedCondVar done_;
-  const std::function<void(std::size_t)>* chunk_fn_
-      CANDLE_GUARDED_BY(mutex_) = nullptr;
-  std::size_t chunks_ CANDLE_GUARDED_BY(mutex_) = 0;
+  Region region_ CANDLE_GUARDED_BY(mutex_);
   std::size_t pending_ CANDLE_GUARDED_BY(mutex_) = 0;
   std::uint64_t generation_ CANDLE_GUARDED_BY(mutex_) = 0;
   bool stopping_ CANDLE_GUARDED_BY(mutex_) = false;
 };
+
+/// Process-wide set of teams. A thread leases one at its first top-level
+/// region and gives it back when it exits; a new team is created only when
+/// none is idle, so the registry holds as many teams as the peak number of
+/// threads holding one at once.
+class Registry {
+ public:
+  static Registry& instance() {
+    static Registry registry;
+    return registry;
+  }
+
+  Team* lease() {
+    MutexLock lock(mutex_);
+    if (!idle_.empty()) {
+      Team* team = idle_.back();
+      idle_.pop_back();
+      return team;
+    }
+    teams_.push_back(std::make_unique<Team>());
+    return teams_.back().get();
+  }
+
+  void give_back(Team* team) {
+    MutexLock lock(mutex_);
+    idle_.push_back(team);
+  }
+
+  std::size_t size() {
+    MutexLock lock(mutex_);
+    return teams_.size();
+  }
+
+ private:
+  Registry() = default;
+
+  ~Registry() {
+    // Joins every team's workers outside the lock: the registry mutex is
+    // never held together with a team's dispatch mutex.
+    std::vector<std::unique_ptr<Team>> teams;
+    {
+      MutexLock lock(mutex_);
+      teams.swap(teams_);
+      idle_.clear();
+    }
+  }
+
+  AnnotatedMutex mutex_{CANDLE_LOCK_LEVEL(lock_order::level::kParallelRegistry),
+                        "parallel::Registry::mutex_"};
+  std::vector<std::unique_ptr<Team>> teams_ CANDLE_GUARDED_BY(mutex_);
+  std::vector<Team*> idle_ CANDLE_GUARDED_BY(mutex_);
+};
+
+/// The calling thread's team, leased on first use and given back when the
+/// thread exits. Thread-local destructors complete before static ones, so
+/// the main thread's lease returns before the registry is torn down.
+class Lease {
+ public:
+  Lease() = default;
+  Lease(const Lease&) = delete;
+  Lease& operator=(const Lease&) = delete;
+  ~Lease() {
+    if (team_ != nullptr) Registry::instance().give_back(team_);
+  }
+
+  Team& team() {
+    if (team_ == nullptr) team_ = Registry::instance().lease();
+    return *team_;
+  }
+
+ private:
+  Team* team_ = nullptr;
+};
+
+thread_local Lease tl_lease;
 
 }  // namespace
 
@@ -225,19 +283,32 @@ std::size_t parse_thread_count(const char* text, std::size_t fallback) {
   return static_cast<std::size_t>(v);
 }
 
+std::size_t team_count() { return Registry::instance().size(); }
+
 }  // namespace detail
 
-std::size_t num_threads() { return Pool::instance().width(); }
+std::size_t num_threads() {
+  const std::size_t width = g_width.load();
+  if (width != 0) return width;
+  // First use: resolve the default unless set_num_threads got there first.
+  std::size_t expected = 0;
+  const std::size_t resolved = default_width();
+  return g_width.compare_exchange_strong(expected, resolved) ? resolved
+                                                             : expected;
+}
 
-void set_num_threads(std::size_t n) { Pool::instance().resize(n); }
+void set_num_threads(std::size_t n) {
+  require(n >= 1, "parallel::set_num_threads: thread count must be >= 1");
+  g_width.store(n);
+}
 
 void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                   const ChunkFn& fn) {
   require(grain >= 1, "parallel_for: grain must be >= 1");
   if (begin >= end) return;
   const std::size_t n = end - begin;
-  // Inline paths: nested region, single-thread pool, or a range too small
-  // to split. Running fn over the whole range reproduces serial behavior.
+  // Inline paths: nested region, width 1, or a range too small to split.
+  // Running fn over the whole range reproduces serial behavior.
   if (tl_in_parallel || n <= grain) {
     fn(begin, end);
     return;
@@ -252,9 +323,7 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
     fn(begin, end);
     return;
   }
-  Pool::instance().run(chunks.size(), [&](std::size_t c) {
-    fn(begin + chunks[c].first, begin + chunks[c].second);
-  });
+  tl_lease.team().run(width, begin, chunks, fn);
 }
 
 }  // namespace candle::parallel

@@ -1,6 +1,6 @@
-// Shared intra-node parallel runtime: one lazily-initialized thread pool
-// feeding every hot loop in the repo (GEMM tiles, im2col, elementwise ops,
-// optimizer updates, fusion-buffer pack/unpack, parallel CSV parsing).
+// Shared intra-node parallel runtime: per-caller worker teams feeding every
+// hot loop in the repo (GEMM tiles, im2col, elementwise ops, optimizer
+// updates, fusion-buffer pack/unpack, parallel CSV parsing).
 //
 // Design goals, in order:
 //
@@ -15,14 +15,26 @@
 //     lowest-indexed one is rethrown on the calling thread after the region
 //     completes. Nested parallel regions (a chunk body calling parallel_for
 //     again, directly or through gemm) run inline on the current thread, so
-//     the pool can never deadlock on itself.
+//     a team can never deadlock on itself.
 //
-//  3. One pool. The pool is process-wide and serializes concurrent regions
-//     from different threads (the rank-per-thread comm tests call gemm from
-//     many ranks at once); workers are spawned once and resized only by
-//     set_num_threads. `CANDLE_NUM_THREADS=1` (or set_num_threads(1))
-//     disables threading entirely — every region runs inline, reproducing
-//     the pre-pool serial behavior exactly.
+//  3. One team per caller. The width is per calling thread: a thread that
+//     opens a top-level region runs chunk 0 itself and hands the rest to its
+//     own team of width - 1 workers, so concurrent callers (the
+//     rank-per-thread comm tests, the ranks of comm::World::run, serving
+//     dispatchers) compute at the same time instead of taking turns. Total
+//     compute threads are therefore callers x width. A thread leases an idle
+//     team from a process-wide registry at its first top-level region and
+//     returns it when the thread exits, so the next thread — say the ranks
+//     of the next World::run — reuses the same workers: nothing is spawned
+//     per run. The registry only grows when every existing team is leased,
+//     which bounds live workers by
+//
+//         (peak number of live threads holding a team at once) x (width - 1)
+//
+//     where a thread holds a team from its first top-level region until it
+//     exits. `CANDLE_NUM_THREADS=1` (or set_num_threads(1)) disables
+//     threading entirely — every region runs inline and never touches a
+//     team, reproducing the pre-pool serial behavior exactly.
 //
 // Thread count resolution on first use: CANDLE_NUM_THREADS if set and
 // valid, else std::thread::hardware_concurrency(). Benches expose the same
@@ -38,13 +50,16 @@ namespace candle::parallel {
 /// Chunk body: processes the half-open index range [chunk_begin, chunk_end).
 using ChunkFn = std::function<void(std::size_t, std::size_t)>;
 
-/// Configured parallel width (callers + workers), >= 1. First call
-/// initializes the pool from CANDLE_NUM_THREADS / hardware_concurrency.
+/// Configured parallel width per calling thread (caller + its workers),
+/// >= 1. First call resolves it from CANDLE_NUM_THREADS /
+/// hardware_concurrency.
 std::size_t num_threads();
 
-/// Resizes the pool to `n` total threads (n == 1 disables threading).
-/// Blocks until in-flight regions finish; safe to call between regions at
-/// any point in the process lifetime. Throws InvalidArgument for n == 0.
+/// Sets the width of every caller's next top-level region to `n` (n == 1
+/// disables threading). The width is one process-wide value: a call from
+/// any thread applies to all threads, and each team resizes at its own next
+/// region; regions already running finish at their old width. Throws
+/// InvalidArgument for n == 0.
 void set_num_threads(std::size_t n);
 
 /// Runs fn over [begin, end) split into contiguous chunks of at least
@@ -64,6 +79,10 @@ std::vector<std::pair<std::size_t, std::size_t>> partition(
 /// Parses a CANDLE_NUM_THREADS-style value: returns the parsed count, or
 /// `fallback` when `text` is null, empty, non-numeric, or zero.
 std::size_t parse_thread_count(const char* text, std::size_t fallback);
+
+/// Teams the registry has created so far (leased plus idle). Never
+/// shrinks; exposed so tests can check that teams are reused.
+std::size_t team_count();
 }  // namespace detail
 
 /// Deterministic map-reduce: partitions [begin, end) like parallel_for,

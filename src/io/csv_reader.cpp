@@ -17,8 +17,17 @@ namespace {
 
 /// Parse-level validation failures are IoErrors (bad file content), not
 /// InvalidArgument (bad caller arguments).
+inline void io_require(bool cond, const char* msg) {
+  if (!cond) throw IoError(msg);
+}
 inline void io_require(bool cond, const std::string& msg) {
   if (!cond) throw IoError(msg);
+}
+
+/// Ragged-row message; built only once a row is known to be ragged.
+[[noreturn]] void throw_ragged_row(std::size_t got, std::size_t expected) {
+  throw IoError("read_csv: ragged row (got " + std::to_string(got) +
+                " fields, expected " + std::to_string(expected) + ")");
 }
 
 /// RAII FILE handle.
@@ -152,9 +161,7 @@ DataFrame read_csv_original(const std::string& path, CsvReadStats* stats,
     if (cols == 0) {
       cols = cells.size();
     } else {
-      io_require(cells.size() == cols,
-              "read_csv: ragged row (got " + std::to_string(cells.size()) +
-                  " fields, expected " + std::to_string(cols) + ")");
+      if (cells.size() != cols) throw_ragged_row(cells.size(), cols);
     }
     chunk_rows.push_back(cells);
   };
@@ -259,9 +266,7 @@ DataFrame read_csv_chunked(const std::string& path, CsvReadStats* stats,
     if (df.cols == 0) {
       df.cols = c;
     } else {
-      io_require(c == df.cols,
-              "read_csv: ragged row (got " + std::to_string(c) +
-                  " fields, expected " + std::to_string(df.cols) + ")");
+      if (c != df.cols) throw_ragged_row(c, df.cols);
     }
     ++df.rows;
   };
@@ -492,16 +497,14 @@ DataFrame read_csv_parallel(const std::string& path, CsvReadStats* stats,
       const char* field = begin;
       for (const char* p = begin; p <= end; ++p) {
         if (p == end || *p == ',') {
-          io_require(c < cols,
-                     "read_csv: ragged row (got more fields than the " +
-                         std::to_string(cols) + " expected)");
+          if (c >= cols)
+            throw IoError("read_csv: ragged row (got more fields than the " +
+                          std::to_string(cols) + " expected)");
           cell[c++] = parse_fast(field, p);
           field = p + 1;
         }
       }
-      io_require(c == cols,
-                 "read_csv: ragged row (got " + std::to_string(c) +
-                     " fields, expected " + std::to_string(cols) + ")");
+      if (c != cols) throw_ragged_row(c, cols);
     }
   });
 
@@ -567,9 +570,7 @@ DataFrame read_csv_selected(const std::string& path, const CsvSelect& select,
                      std::to_string(c) + " columns)");
       df.cols = cols_wanted.empty() ? c : cols_wanted.size();
     } else {
-      io_require(c == file_cols, "read_csv: ragged row (got " +
-                                     std::to_string(c) + " fields, expected " +
-                                     std::to_string(file_cols) + ")");
+      if (c != file_cols) throw_ragged_row(c, file_cols);
     }
     ++df.rows;
   };

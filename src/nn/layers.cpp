@@ -10,6 +10,18 @@
 #include "tensor/ops.h"
 
 namespace candle::nn {
+namespace {
+
+/// Backward reads the activations a training forward caches; an inference
+/// forward (training == false) keeps none, so backward after it is an error.
+void require_training_forward(bool cached, const char* where) {
+  if (!cached)
+    throw InvalidArgument(std::string(where) +
+                          ": needs a training forward first (forward with "
+                          "training == false caches no activations)");
+}
+
+}  // namespace
 
 Act act_from_string(const std::string& name) {
   if (name == "relu") return Act::kRelu;
@@ -159,8 +171,9 @@ Shape Dense::build(const Shape& input_shape, Rng& rng) {
   return {units_};
 }
 
-Tensor Dense::forward(const Tensor& x, bool /*training*/) {
-  x_ = x;
+Tensor Dense::forward(const Tensor& x, bool training) {
+  cached_ = training;
+  if (training) x_ = x;
   // Bias (and ReLU, when it is the layer's activation) ride the GEMM
   // epilogue, so no pre-activation tensor is materialized separately.
   Epilogue ep;
@@ -170,6 +183,8 @@ Tensor Dense::forward(const Tensor& x, bool /*training*/) {
     Tensor z({x.dim(0), units_});
     gemm(false, false, x, w_, z, ep);
     if (act_ != Act::kRelu) apply_activation_inplace(act_, z);
+    // Inference hands the fresh tensor over; only training keeps a copy.
+    if (!training) return z;
     y_ = std::move(z);
     return y_;
   }
@@ -188,6 +203,7 @@ Tensor Dense::forward(const Tensor& x, bool /*training*/) {
 }
 
 Tensor Dense::backward(const Tensor& dy) {
+  require_training_forward(cached_, "Dense::backward");
   const Tensor dz = activation_backward(act_, dy, y_);
   if (!sharded_ || shard_.world <= 1) {
     gemm(true, false, x_, dz, dw_);  // dW = X^T dZ
@@ -286,14 +302,23 @@ Shape Conv1D::build(const Shape& input_shape, Rng& rng) {
   return {lout, filters_};
 }
 
-Tensor Conv1D::forward(const Tensor& x, bool /*training*/) {
-  x_ = x;
+Tensor Conv1D::forward(const Tensor& x, bool training) {
+  cached_ = training;
+  if (training) x_ = x;
   if (!sharded_ || shard_.world <= 1) {
     const bool fused_relu = act_ == Act::kRelu;
+    const EpilogueOp op =
+        fused_relu ? EpilogueOp::kRelu : EpilogueOp::kIdentity;
+    if (!training) {
+      // Inference computes into a fresh tensor and hands it over.
+      Tensor y;
+      conv1d_forward(x, w_, b_, stride_, y, &ws_, op);
+      if (!fused_relu) apply_activation_inplace(act_, y);
+      return y;
+    }
     // Writing into y_ reuses the activation buffer across steps: the GEMM
     // overwrites every element, so no per-step zero-fill is paid.
-    conv1d_forward(x, w_, b_, stride_, y_, &ws_,
-                   fused_relu ? EpilogueOp::kRelu : EpilogueOp::kIdentity);
+    conv1d_forward(x, w_, b_, stride_, y_, &ws_, op);
     if (!fused_relu) apply_activation_inplace(act_, y_);
     return y_;
   }
@@ -312,6 +337,7 @@ Tensor Conv1D::forward(const Tensor& x, bool /*training*/) {
 }
 
 Tensor Conv1D::backward(const Tensor& dy) {
+  require_training_forward(cached_, "Conv1D::backward");
   const Tensor dz = activation_backward(act_, dy, y_);
   if (!sharded_ || shard_.world <= 1) {
     Tensor dx(x_.shape());
@@ -362,10 +388,11 @@ Shape LocallyConnected1D::build(const Shape& input_shape, Rng& rng) {
   return {lout_, filters_};
 }
 
-Tensor LocallyConnected1D::forward(const Tensor& x, bool /*training*/) {
+Tensor LocallyConnected1D::forward(const Tensor& x, bool training) {
   require(x.rank() == 3 && x.dim(2) == cin_,
           "LocallyConnected1D: input shape mismatch");
-  x_ = x;
+  cached_ = training;
+  if (training) x_ = x;
   const std::size_t batch = x.dim(0), L = x.dim(1);
   Tensor z({batch, lout_, filters_});
   const float* px = x.data();
@@ -391,11 +418,13 @@ Tensor LocallyConnected1D::forward(const Tensor& x, bool /*training*/) {
     }
   }
   apply_activation_inplace(act_, z);
+  if (!training) return z;
   y_ = std::move(z);
   return y_;
 }
 
 Tensor LocallyConnected1D::backward(const Tensor& dy) {
+  require_training_forward(cached_, "LocallyConnected1D::backward");
   const Tensor dz = activation_backward(act_, dy, y_);
   const std::size_t batch = x_.dim(0), L = x_.dim(1);
   Tensor dx(x_.shape());
@@ -630,10 +659,14 @@ Tensor BatchNorm::forward(const Tensor& x, bool training) {
   const float* px = x.data();
 
   Tensor y({b, f});
-  x_hat_ = Tensor({b, f});
-  batch_inv_std_.assign(f, 0.0f);
+  // Only a training forward saves the normalized inputs for backward.
+  cached_ = training;
+  if (training) {
+    x_hat_ = Tensor({b, f});
+    batch_inv_std_.assign(f, 0.0f);
+  }
   float* py = y.data();
-  float* ph = x_hat_.data();
+  float* ph = training ? x_hat_.data() : nullptr;
   const float* pg = gamma_.data();
   const float* pb = beta_.data();
 
@@ -659,11 +692,11 @@ Tensor BatchNorm::forward(const Tensor& x, bool training) {
     }
     const float inv_std =
         static_cast<float>(1.0 / std::sqrt(var + epsilon_));
-    batch_inv_std_[j] = inv_std;
+    if (training) batch_inv_std_[j] = inv_std;
     for (std::size_t i = 0; i < b; ++i) {
       const float xh =
           (px[i * f + j] - static_cast<float>(mean)) * inv_std;
-      ph[i * f + j] = xh;
+      if (ph != nullptr) ph[i * f + j] = xh;
       py[i * f + j] = pg[j] * xh + pb[j];
     }
   }
@@ -673,6 +706,7 @@ Tensor BatchNorm::forward(const Tensor& x, bool training) {
 Tensor BatchNorm::backward(const Tensor& dy) {
   // Standard batch-norm backward (training-mode statistics):
   // dx = (gamma * inv_std / b) * (b*dy - sum(dy) - x_hat * sum(dy * x_hat))
+  require_training_forward(cached_, "BatchNorm::backward");
   check_same_shape(dy, x_hat_, "BatchNorm::backward");
   const std::size_t b = dy.dim(0), f = dy.dim(1);
   Tensor dx({b, f});
@@ -715,12 +749,15 @@ Shape Activation::build(const Shape& input_shape, Rng& /*rng*/) {
   return input_shape;
 }
 
-Tensor Activation::forward(const Tensor& x, bool /*training*/) {
+Tensor Activation::forward(const Tensor& x, bool training) {
+  cached_ = training;
+  if (!training) return apply_activation(act_, x);
   y_ = apply_activation(act_, x);
   return y_;
 }
 
 Tensor Activation::backward(const Tensor& dy) {
+  require_training_forward(cached_, "Activation::backward");
   return activation_backward(act_, dy, y_);
 }
 

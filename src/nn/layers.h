@@ -3,7 +3,8 @@
 // activations).
 //
 // Contract: `build` is called once with the per-sample input shape before
-// training; `forward` caches whatever `backward` needs; `backward` consumes
+// training; a training forward (`training == true`) caches whatever
+// `backward` needs, an inference forward caches no activations; `backward` consumes
 // dL/dy and returns dL/dx while accumulating parameter gradients into the
 // tensors exposed by `grads()` (overwritten each call, not accumulated across
 // calls — the optimizer consumes them per batch).
@@ -41,10 +42,15 @@ class Layer {
   /// the per-sample output shape.
   virtual Shape build(const Shape& input_shape, Rng& rng) = 0;
 
-  /// Forward pass over a whole batch. `training` toggles dropout.
+  /// Forward pass over a whole batch. `training` toggles dropout and the
+  /// caching of activations for backward: with `training == false` the
+  /// layer keeps no copy of its input or output, so inference neither
+  /// caches nor copies activations.
   virtual Tensor forward(const Tensor& x, bool training) = 0;
 
-  /// Backward pass; must be called after forward on the same batch.
+  /// Backward pass; must be called after a training forward on the same
+  /// batch. Layers that cache activations throw InvalidArgument when the
+  /// last forward was an inference one.
   /// Contract: every grads() tensor is fully finalized before backward()
   /// returns — Model::backward fires the gradient-ready hook for this
   /// layer right after, and the overlap scheduler may immediately start
@@ -140,6 +146,7 @@ class Dense : public Layer {
   double init_scale_;
   Tensor w_, b_, dw_, db_;
   Tensor x_, y_;  // cached input and post-activation output
+  bool cached_ = false;  // last forward was a training forward
   // Channel sharding: this rank owns output columns
   // [shard_begin_, shard_begin_ + shard_cols_) of the full (in, units_)
   // weight; w_/b_/dw_/db_ hold only that slice.
@@ -177,6 +184,7 @@ class Conv1D : public Layer {
   Act act_;
   Tensor w_, b_, dw_, db_;
   Tensor x_, y_;
+  bool cached_ = false;  // last forward was a training forward
   Conv1dWorkspace ws_;  // im2col buffers reused across steps
   // Filter sharding: this rank owns output filters
   // [shard_begin_, shard_begin_ + shard_cols_); w_ is (K, Cin, local).
@@ -209,6 +217,7 @@ class LocallyConnected1D : public Layer {
   std::size_t lout_ = 0, cin_ = 0;
   Tensor w_, b_, dw_, db_;
   Tensor x_, y_;
+  bool cached_ = false;  // last forward was a training forward
 };
 
 /// Max pooling over the time axis.
@@ -310,6 +319,7 @@ class BatchNorm : public Layer {
   // Saved forward state for backward.
   Tensor x_hat_;          // normalized inputs
   std::vector<float> batch_inv_std_;
+  bool cached_ = false;  // last forward was a training forward
 };
 
 /// Standalone activation layer (for when fusing is not convenient).
@@ -325,6 +335,7 @@ class Activation : public Layer {
  private:
   Act act_;
   Tensor y_;
+  bool cached_ = false;  // last forward was a training forward
 };
 
 /// Applies an activation forward; helper shared by fused layers.

@@ -7,8 +7,8 @@
 // many client threads directly into a shared batch slot, and a dispatcher
 // thread closes the batch when either `max_batch` rows are staged or the
 // batch's `batch_deadline_s` expires — the latency-SLO knob — then runs one
-// fused-epilogue forward over the whole batch on the shared
-// candle::parallel pool and scatters per-row results back to the waiting
+// fused-epilogue forward over the whole batch on the dispatcher's own
+// candle::parallel team and scatters per-row results back to the waiting
 // futures.
 //
 // Slot protocol (nn::BatchPipeline's kFree -> kReady discipline, with the

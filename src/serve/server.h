@@ -5,9 +5,9 @@
 // submitting, the model table is read-only — submit() resolves a name to
 // its batcher without locking, because the table never changes while
 // requests are in flight. Each model's dispatcher thread runs its batches
-// on the shared candle::parallel pool, which serializes concurrent
-// regions from different dispatchers, so a multi-model mix time-slices
-// the cores instead of oversubscribing them.
+// on its own candle::parallel team, so the dispatchers of a multi-model mix
+// compute at the same time: a server with D models uses up to
+// D x num_threads() compute threads.
 //
 // The checkpoint path (add_model_from_checkpoint) is the production
 // deployment story: compile the architecture inference-only — no

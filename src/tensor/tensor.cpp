@@ -31,9 +31,10 @@ Tensor::Tensor(Shape shape, float fill)
 
 Tensor::Tensor(Shape shape, const std::vector<float>& values)
     : shape_(std::move(shape)), data_(values.begin(), values.end()) {
-  require(data_.size() == shape_numel(shape_),
-          "Tensor: value count " + std::to_string(data_.size()) +
-              " does not match shape " + shape_to_string(shape_));
+  if (data_.size() != shape_numel(shape_))
+    throw InvalidArgument("Tensor: value count " +
+                          std::to_string(data_.size()) +
+                          " does not match shape " + shape_to_string(shape_));
 }
 
 Tensor Tensor::from(std::initializer_list<float> values) {
@@ -46,9 +47,10 @@ std::size_t Tensor::dim(std::size_t i) const {
 }
 
 float& Tensor::at(std::size_t i) {
-  require(i < data_.size(),
-          "Tensor::at: index " + std::to_string(i) + " out of range for " +
-              std::to_string(data_.size()) + " elements");
+  if (i >= data_.size())
+    throw InvalidArgument("Tensor::at: index " + std::to_string(i) +
+                          " out of range for " +
+                          std::to_string(data_.size()) + " elements");
   return data_[i];
 }
 
@@ -67,9 +69,10 @@ float Tensor::at(std::size_t r, std::size_t c) const {
 }
 
 Tensor Tensor::reshaped(Shape new_shape) const {
-  require(shape_numel(new_shape) == numel(),
-          "Tensor::reshaped: numel mismatch " + shape_to_string(shape_) +
-              " -> " + shape_to_string(new_shape));
+  if (shape_numel(new_shape) != numel())
+    throw InvalidArgument("Tensor::reshaped: numel mismatch " +
+                          shape_to_string(shape_) + " -> " +
+                          shape_to_string(new_shape));
   Tensor out;
   out.shape_ = std::move(new_shape);
   out.data_ = data_;
@@ -120,9 +123,10 @@ float Tensor::sq_norm() const {
 }
 
 void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
-  require(a.shape() == b.shape(),
-          std::string(op) + ": shape mismatch " + shape_to_string(a.shape()) +
-              " vs " + shape_to_string(b.shape()));
+  if (a.shape() != b.shape())
+    throw InvalidArgument(std::string(op) + ": shape mismatch " +
+                          shape_to_string(a.shape()) + " vs " +
+                          shape_to_string(b.shape()));
 }
 
 }  // namespace candle

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <vector>
 
 #include "comm/communicator.h"
 #include "common/error.h"
@@ -53,6 +54,32 @@ TEST(World, BodyExceptionIsRethrown) {
                             c.barrier();  // survivors must not deadlock
                           }),
                InvalidArgument);
+}
+
+TEST(World, RethrowsTheEarliestFailureNotTheLowestRank) {
+  // Rank 1 dies before its first allreduce; ranks 0 and 2 then fail inside
+  // the collective with a follow-on CommError. The caller must see the
+  // root cause — rank 1's error — even though rank 0 failed too.
+  std::atomic<int> survivors_failed{0};
+  try {
+    World::run(3, [&](Communicator& c) {
+      if (c.rank() == 1) throw InvalidArgument("rank 1: root cause");
+      std::vector<float> data(8, 1.0f);
+      try {
+        c.allreduce_sum(data);
+      } catch (const CommError&) {
+        survivors_failed.fetch_add(1);
+        throw;
+      }
+    });
+    FAIL() << "expected rank 1's InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ("rank 1: root cause", e.what());
+  } catch (const std::exception& e) {
+    FAIL() << "rethrew a follow-on error instead of the root cause: "
+           << e.what();
+  }
+  EXPECT_EQ(2, survivors_failed.load());
 }
 
 TEST(World, BarrierSynchronizes) {

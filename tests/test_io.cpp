@@ -142,6 +142,26 @@ TEST_F(CsvReaderTest, RaggedRowsThrow) {
   EXPECT_THROW(read_csv_chunked(path("ragged.csv")), IoError);
 }
 
+TEST_F(CsvReaderTest, RaggedRowReportsFieldCounts) {
+  // Ragged-row messages are built only once a row fails the check; they
+  // must still carry both field counts.
+  write_file("short.csv", "1,2,3\n4,5\n");
+  const auto message = [](auto&& read) -> std::string {
+    try {
+      (void)read();
+    } catch (const IoError& e) {
+      return e.what();
+    }
+    return "no IoError";
+  };
+  const std::string expect = "read_csv: ragged row (got 2 fields, expected 3)";
+  EXPECT_EQ(expect, message([&] { return read_csv_original(path("short.csv")); }));
+  EXPECT_EQ(expect, message([&] { return read_csv_chunked(path("short.csv")); }));
+  EXPECT_EQ(expect, message([&] {
+              return read_csv_selected(path("short.csv"), CsvSelect{});
+            }));
+}
+
 TEST_F(CsvReaderTest, MalformedNumberThrows) {
   write_file("bad.csv", "1,zzz\n");
   EXPECT_THROW(read_csv_chunked(path("bad.csv")), IoError);

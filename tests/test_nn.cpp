@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -139,6 +142,51 @@ TEST(DenseLayer, GradientsMatchFiniteDifference) {
     d.forward(x, true);  // restore cached input
     EXPECT_NEAR(dx[i], (lp - lm) / (2 * eps), 5e-3f) << "dX[" << i << "]";
   }
+}
+
+TEST(InferenceForward, MatchesTrainingForwardAndRefusesBackward) {
+  // An inference forward keeps no activations: it must produce the same
+  // output as a training forward, and a backward after it must fail loudly
+  // instead of reading stale or empty caches.
+  Rng rng(40);
+  std::vector<std::unique_ptr<Layer>> layers;
+  std::vector<Shape> inputs;
+  layers.push_back(std::make_unique<Dense>(6, Act::kRelu));
+  inputs.push_back({5});
+  layers.push_back(std::make_unique<Dense>(6, Act::kTanh));
+  inputs.push_back({5});
+  layers.push_back(std::make_unique<Conv1D>(4, 3, 1, Act::kRelu));
+  inputs.push_back({9, 2});
+  layers.push_back(std::make_unique<Conv1D>(4, 3, 2, Act::kSigmoid));
+  inputs.push_back({9, 2});
+  layers.push_back(std::make_unique<LocallyConnected1D>(3, 3, 2, Act::kTanh));
+  inputs.push_back({7, 2});
+  layers.push_back(std::make_unique<Activation>(Act::kSoftmax));
+  inputs.push_back({5});
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    Layer& layer = *layers[i];
+    layer.build(inputs[i], rng);
+    Shape batch_shape{3};
+    batch_shape.insert(batch_shape.end(), inputs[i].begin(), inputs[i].end());
+    const Tensor x = random_tensor(batch_shape, rng);
+    const Tensor trained = layer.forward(x, true);
+    const Tensor dy = random_tensor(trained.shape(), rng);
+    EXPECT_NO_THROW((void)layer.backward(dy)) << layer.describe();
+    const Tensor inferred = layer.forward(x, false);
+    ASSERT_EQ(trained.shape(), inferred.shape()) << layer.describe();
+    EXPECT_EQ(0, std::memcmp(trained.data(), inferred.data(),
+                             trained.numel() * sizeof(float)))
+        << layer.describe();
+    EXPECT_THROW((void)layer.backward(dy), InvalidArgument) << layer.describe();
+    (void)layer.forward(x, true);  // a training forward re-arms backward
+    EXPECT_NO_THROW((void)layer.backward(dy)) << layer.describe();
+  }
+  BatchNorm bn;
+  bn.build({4}, rng);
+  const Tensor x = random_tensor({8, 4}, rng);
+  (void)bn.forward(x, false);
+  EXPECT_THROW((void)bn.backward(random_tensor({8, 4}, rng)),
+               InvalidArgument);
 }
 
 TEST(Conv1DLayer, BuildComputesOutputShape) {

@@ -1,29 +1,43 @@
 // Tests for the shared intra-node runtime (common/parallel.*) and the
 // threaded hot paths wired onto it: partitioning determinism, exception
-// propagation, nested regions, and exact threaded-vs-serial equivalence
+// propagation, nested regions, per-caller teams (concurrency, reuse,
+// isolation), and exact threaded-vs-serial equivalence
 // for GEMM, Conv1D, the in-place ops, optimizer updates, and the parallel
 // CSV reader. "Exact" means bit-identical buffers at a fixed thread count
 // — the determinism contract the TSan CI job runs under
 // CANDLE_NUM_THREADS=4.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
+#include "candle/models.h"
+#include "comm/communicator.h"
 #include "common/aligned.h"
 #include "common/error.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "hvd/context.h"
+#include "hvd/distributed_optimizer.h"
 #include "hvd/fusion.h"
 #include "io/csv_reader.h"
 #include "io/synthetic.h"
+#include "nn/dataset.h"
+#include "nn/loss.h"
+#include "nn/model.h"
 #include "nn/optimizer.h"
 #include "tensor/conv.h"
 #include "tensor/gemm.h"
@@ -267,6 +281,253 @@ TEST(ParallelReduce, EmptyRangeReturnsInit) {
 }
 
 // ---------------------------------------------------------------------------
+// Per-caller teams
+// ---------------------------------------------------------------------------
+
+/// Threads of this process, from /proc/self/task; 0 when unavailable.
+std::size_t live_thread_count() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return 0;
+  std::size_t n = 0;
+  for (; it != std::filesystem::directory_iterator(); it.increment(ec)) ++n;
+  return n;
+}
+
+/// Spins until `pred` holds or `limit` passes; returns pred's final value.
+/// A bounded wait makes a missing concurrency a failure, not a hang.
+template <typename Pred>
+bool wait_for(Pred pred, std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() >= deadline) return pred();
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(ParallelTeams, ConcurrentCallersRunRegionsAtTheSameTime) {
+  // Two callers at width 2: each region has 2 chunks, and every chunk body
+  // waits until 4 bodies are live. That only completes when both regions
+  // run at once; a process-wide pool that takes regions one at a time
+  // tops out at 2 live bodies and fails here after the bounded wait.
+  ThreadCountGuard guard(2);
+  std::atomic<int> live{0};
+  std::atomic<int> met{0};
+  const auto body = [&](std::size_t, std::size_t) {
+    live.fetch_add(1);
+    if (wait_for([&] { return live.load() >= 4; },
+                 std::chrono::seconds(20)))
+      met.fetch_add(1);
+  };
+  std::thread a([&] { parallel_for(0, 2, 1, body); });
+  std::thread b([&] { parallel_for(0, 2, 1, body); });
+  a.join();
+  b.join();
+  EXPECT_EQ(4, live.load());
+  EXPECT_EQ(4, met.load()) << "regions of different callers were serialized";
+}
+
+TEST(ParallelTeams, ShortLivedCallersReuseTeams) {
+  // 50 caller threads in sequence, as successive comm::World::run calls
+  // start them: each leases the team its predecessor gave back, so no
+  // worker is spawned per caller and the thread count stays flat.
+  constexpr std::size_t kWidth = 4;
+  constexpr std::size_t kCallers = 50;
+  ThreadCountGuard guard(kWidth);
+  // Counts threads that run a chunk body for the first time in their life.
+  std::atomic<std::size_t> fresh_threads{0};
+  std::atomic<std::size_t> peak_threads{0};
+  const auto region = [&] {
+    std::atomic<std::size_t> sum{0};
+    parallel_for(0, 64, 1, [&](std::size_t b, std::size_t e) {
+      thread_local bool seen = false;
+      if (!seen) fresh_threads.fetch_add(1);
+      seen = true;
+      if (b == 0) {  // the caller's own chunk
+        const std::size_t now = live_thread_count();
+        std::size_t peak = peak_threads.load();
+        while (now > peak && !peak_threads.compare_exchange_weak(peak, now)) {
+        }
+      }
+      for (std::size_t i = b; i < e; ++i) sum.fetch_add(i);
+    });
+    EXPECT_EQ(2016u, sum.load());
+  };
+  // Warm-up caller: afterwards an idle team of this width exists.
+  std::thread(region).join();
+  const std::size_t teams = parallel::detail::team_count();
+  const std::size_t baseline = live_thread_count();
+  fresh_threads.store(0);
+  peak_threads.store(0);
+  for (std::size_t i = 0; i < kCallers; ++i) std::thread(region).join();
+
+  EXPECT_EQ(teams, parallel::detail::team_count());
+  // Every caller is a new thread; the workers are the warm-up's.
+  EXPECT_EQ(kCallers, fresh_threads.load());
+  if (baseline > 0) {
+    // Inside a region: the baseline plus the caller itself, plus one for
+    // a predecessor that join() already returned from but the kernel has
+    // not yet unlisted. Spawning a team per caller would add kWidth - 1.
+    EXPECT_LE(peak_threads.load(), baseline + 2);
+    EXPECT_TRUE(wait_for([&] { return live_thread_count() <= baseline; },
+                         std::chrono::seconds(5)));
+  }
+}
+
+TEST(ParallelTeams, RepeatedWorldRunsStayWithinTheRegistryBound) {
+  // Successive World::run calls at width > 1: the ranks of each run lease
+  // the teams the previous run's ranks gave back, so the registry does not
+  // grow and the process never holds more than those teams' workers.
+  constexpr std::size_t kWidth = 3;
+  constexpr std::size_t kRanks = 2;
+  ThreadCountGuard guard(kWidth);
+  std::atomic<std::size_t> peak_threads{0};
+  const auto run = [&] {
+    comm::World::run(kRanks, [&](comm::Communicator& c) {
+      parallel_for(0, 64, 1, [&](std::size_t b, std::size_t) {
+        if (b != 0) return;
+        const std::size_t now = live_thread_count();
+        std::size_t peak = peak_threads.load();
+        while (now > peak && !peak_threads.compare_exchange_weak(peak, now)) {
+        }
+      });
+      c.barrier();  // both ranks hold their teams at once
+    });
+  };
+  run();  // warm-up: afterwards kRanks idle teams of this width exist
+  const std::size_t teams = parallel::detail::team_count();
+  const std::size_t baseline = live_thread_count();
+  peak_threads.store(0);
+  for (int i = 0; i < 20; ++i) run();
+  EXPECT_EQ(teams, parallel::detail::team_count());
+  if (baseline > 0) {
+    // The baseline already counts the idle teams' workers; a run adds its
+    // rank threads (plus one a finished predecessor may still occupy).
+    EXPECT_LE(peak_threads.load(), baseline + kRanks + 1);
+  }
+}
+
+TEST(ParallelTeams, SetNumThreadsAppliesToEveryCaller) {
+  ThreadCountGuard guard(3);
+  // Distinct threads that ran a region's chunks; with 8 indices per chunk
+  // the chunk index of [b, e) is b / 8.
+  const auto threads_in_region = [] {
+    const std::size_t width = parallel::num_threads();
+    std::vector<std::thread::id> owner(width);
+    parallel_for(0, 8 * width, 8, [&](std::size_t b, std::size_t) {
+      owner[b / 8] = std::this_thread::get_id();
+    });
+    return std::set<std::thread::id>(owner.begin(), owner.end()).size();
+  };
+  std::atomic<int> step{0};
+  std::size_t before = 0, after = 0;
+  std::thread other([&] {
+    before = threads_in_region();  // width 3, set by the main thread
+    step.store(1);
+    wait_for([&] { return step.load() == 2; }, std::chrono::seconds(20));
+    after = threads_in_region();  // width 4, set by the main thread
+    set_num_threads(2);           // applies to the main thread too
+  });
+  ASSERT_TRUE(
+      wait_for([&] { return step.load() == 1; }, std::chrono::seconds(20)));
+  set_num_threads(4);
+  step.store(2);
+  other.join();
+  EXPECT_EQ(3u, before);
+  EXPECT_EQ(4u, after) << "the other caller's team did not resize";
+  EXPECT_EQ(2u, parallel::num_threads());
+  EXPECT_EQ(2u, threads_in_region());
+}
+
+TEST(ParallelTeams, ExceptionStaysWithItsCaller) {
+  ThreadCountGuard guard(2);
+  constexpr int kRounds = 200;
+  std::atomic<int> thrower_caught{0};
+  std::atomic<int> clean_failed{0};
+  std::thread thrower([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      try {
+        // Chunk [32, 64) runs on the team's worker.
+        parallel_for(0, 64, 1, [](std::size_t b, std::size_t) {
+          if (b >= 32) throw std::runtime_error("worker chunk failed");
+        });
+      } catch (const std::runtime_error& e) {
+        if (std::string(e.what()) == "worker chunk failed")
+          thrower_caught.fetch_add(1);
+      }
+    }
+  });
+  std::thread clean([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      std::atomic<std::size_t> sum{0};
+      try {
+        parallel_for(0, 64, 1, [&](std::size_t b, std::size_t e) {
+          for (std::size_t j = b; j < e; ++j) sum.fetch_add(j);
+        });
+      } catch (...) {
+        clean_failed.fetch_add(1);
+      }
+      if (sum.load() != 2016u) clean_failed.fetch_add(1);
+    }
+  });
+  thrower.join();
+  clean.join();
+  EXPECT_EQ(kRounds, thrower_caught.load());
+  EXPECT_EQ(0, clean_failed.load());
+}
+
+/// Trains a P1B1-shaped autoencoder (wide Dense layers) on 2 rank threads
+/// with a synchronous allreduce; returns both ranks' final parameters.
+std::vector<float> fit_p1b1_on_two_ranks() {
+  const BenchmarkId id = BenchmarkId::kP1B1;
+  const ScaledGeometry geometry = scaled_geometry(id, 0.01);
+  const BenchmarkData data = make_benchmark_data(id, geometry, /*seed=*/3);
+  const std::size_t rows = std::min<std::size_t>(32, data.train.size() / 2);
+  std::vector<std::vector<float>> weights(2);
+  comm::World::run(2, [&](comm::Communicator& c) {
+    const nn::Dataset shard{
+        nn::take_rows(data.train.x, c.rank() * rows, rows),
+        nn::take_rows(data.train.y, c.rank() * rows, rows)};
+    hvd::Context ctx(c);
+    nn::Model model = build_model(id, geometry);
+    model.compile({geometry.features},
+                  std::make_unique<hvd::DistributedOptimizer>(
+                      nn::make_optimizer(benchmark_optimizer(id), 0.01), ctx),
+                  nn::make_loss(benchmark_loss(id)), /*seed=*/5);
+    nn::FitOptions fit;
+    fit.epochs = 2;
+    fit.batch_size = 8;
+    fit.shuffle = false;
+    fit.classification = false;
+    (void)model.fit(shard, fit);
+    for (Tensor* p : model.parameters())
+      weights[c.rank()].insert(weights[c.rank()].end(), p->data(),
+                               p->data() + p->numel());
+  });
+  std::vector<float> flat = std::move(weights[0]);
+  flat.insert(flat.end(), weights[1].begin(), weights[1].end());
+  return flat;
+}
+
+TEST(ParallelTeams, TwoRankP1b1FitAtWidthTwoMatchesWidthOneBitExact) {
+  std::vector<float> serial, threaded;
+  {
+    ThreadCountGuard guard(1);
+    serial = fit_p1b1_on_two_ranks();
+  }
+  {
+    ThreadCountGuard guard(2);
+    threaded = fit_p1b1_on_two_ranks();
+  }
+  ASSERT_EQ(serial.size(), threaded.size());
+  ASSERT_FALSE(serial.empty());
+  EXPECT_EQ(0, std::memcmp(serial.data(), threaded.data(),
+                           serial.size() * sizeof(float)))
+      << "concurrent rank teams changed the trained weights";
+}
+
+// ---------------------------------------------------------------------------
 // Aligned allocation
 // ---------------------------------------------------------------------------
 
@@ -489,6 +750,28 @@ TEST(ParallelCsv, RaggedRowThrowsIoError) {
     out << "1,2,3\n1,2\n1,2,3\n";
   }
   EXPECT_THROW((void)candle::io::read_csv_parallel(path), IoError);
+  std::filesystem::remove(path);
+}
+
+TEST(ParallelCsv, RaggedRowReportsFieldCounts) {
+  ThreadCountGuard guard(4);
+  const std::string path = temp_csv_path("test_parallel_ragged_msg.csv");
+  const auto message_for = [&](const char* text) -> std::string {
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << text;
+    }
+    try {
+      (void)candle::io::read_csv_parallel(path);
+    } catch (const IoError& e) {
+      return e.what();
+    }
+    return "no IoError";
+  };
+  EXPECT_EQ("read_csv: ragged row (got 2 fields, expected 3)",
+            message_for("1,2,3\n1,2\n1,2,3\n"));
+  EXPECT_EQ("read_csv: ragged row (got more fields than the 3 expected)",
+            message_for("1,2,3\n1,2,3,4\n1,2,3\n"));
   std::filesystem::remove(path);
 }
 

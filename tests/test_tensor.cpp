@@ -52,6 +52,21 @@ TEST(Tensor, FromValuesChecksSize) {
   EXPECT_THROW(Tensor({2, 2}, std::vector<float>{1, 2}), InvalidArgument);
 }
 
+TEST(Tensor, OutOfRangeAtReportsIndexAndSize) {
+  // The message is built only on the failing branch, but still names the
+  // offending index and the element count.
+  Tensor t({2, 3});
+  try {
+    (void)t.at(6);
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ("Tensor::at: index 6 out of range for 6 elements", e.what());
+  }
+  const Tensor& ct = t;
+  EXPECT_THROW((void)ct.at(100), InvalidArgument);
+  EXPECT_NO_THROW((void)ct.at(5));
+}
+
 TEST(Tensor, At2D) {
   Tensor t({2, 3});
   t.at(1, 2) = 7.0f;

@@ -1,8 +1,8 @@
 """Thread-creation sanctioning and condition-variable wait hygiene.
 
 `thread-site`: the AST-accurate replacement for lint.py's old regex rule.
-All parallelism must flow through the sanctioned runtimes — the shared
-candle::parallel pool, the comm rank threads, the hvd background thread,
+All parallelism must flow through the sanctioned runtimes — the
+candle::parallel worker teams, the comm rank threads, the hvd background thread,
 and the batch-pipeline stage threads. Ad-hoc std::thread elsewhere
 fragments the CANDLE_NUM_THREADS budget and breaks the pinned-thread
 model the paper's scaling study depends on. std::async (unspecified
@@ -19,7 +19,7 @@ from model import Finding, Project
 
 #: Path prefixes where spawning threads is sanctioned.
 _SANCTIONED = (
-    "src/common/parallel.",      # the shared worker pool
+    "src/common/parallel.",      # the per-caller worker teams
     "src/comm/",                 # rank-per-thread communicator harness
     "src/hvd/",                  # background collective thread
     "src/nn/batch_pipeline.",    # pipeline stage threads
