@@ -8,6 +8,22 @@
 // algorithms are lock-free between barriers because every rank writes only
 // its own buffer.
 //
+// One collective core carries every allreduce algorithm and the standalone
+// reduce_scatter/allgather: the reduce-scatter and allgather phases of one
+// ring over a strided rank set (first, stride, count) — stride 1 for the
+// world, ranks_per_node for the hierarchical node leaders — plus one root
+// reduce and one root broadcast. Every hop reads a peer through its wire
+// image, and fp32 is the identity codec: an fp32 image is the rank's buffer
+// itself (encode is a no-op, decode from a peer a memcpy, decode-add the
+// plain fp32 add), so fp32 and the compressed dtypes run the same hop
+// schedule. An owner offset fixes which segment each ring member completes
+// and with it the per-segment summation order: the allreduce rings own
+// segment k+1, the public reduce_scatter/allgather own segment k. A rank
+// encodes every image a peer reads before the barrier that precedes the
+// read; in particular the reduce-scatter phase encodes its last hop before
+// the step barrier when the allgather phase follows, because the successor
+// copies that segment in its first allgather step.
+//
 // Usage:
 //   comm::World::run(4, [](comm::Communicator& c) {
 //     std::vector<float> grad = ...;
@@ -178,13 +194,6 @@ class Communicator {
 
   [[nodiscard]] const CommStats& stats() const { return stats_; }
 
-  /// Number of collectives this rank has issued. The rendezvous cross-checks
-  /// it (together with the op name) across ranks at registration, so a rank
-  /// that skips, reorders, or interleaves collectives — e.g. an overlap
-  /// scheduler letting a bucket leak across a step boundary — fails fast
-  /// with CommError instead of silently reducing mismatched buffers.
-  [[nodiscard]] std::uint64_t collective_seq() const { return seq_; }
-
  private:
   friend class World;
   Communicator(World& world, std::size_t rank)
@@ -193,17 +202,23 @@ class Communicator {
   World* world_;
   std::size_t rank_;
   CommStats stats_;
-  /// Bumped at the start of every collective. Per-rank collectives are
+  /// Number of collectives this rank has issued, bumped at the start of
+  /// every collective. The rendezvous cross-checks it (together with the op
+  /// name) across ranks at registration, so a rank that skips, reorders, or
+  /// interleaves collectives — e.g. an overlap scheduler letting a bucket
+  /// leak across a step boundary — fails fast with CommError instead of
+  /// silently reducing mismatched buffers. Per-rank collectives are
   /// serialized (one issuing thread at a time — the rank thread, or its
   /// overlap comm thread while the rank thread is quiesced), so no atomics.
   std::uint64_t seq_ = 0;
-  /// Persistent per-rank staging for compressed collectives: the wire
-  /// image peers read — n 16-bit words for fp16/bf16, or the planar
+  /// Persistent per-rank wire image for the compressed legs of a
+  /// collective — n 16-bit words for fp16/bf16, or the planar
   /// [scales | int8 payload] image for int8 (wire_codec.h), sized by
-  /// wire::wire_image_scratch_elems. Incoming segments need no fp32
-  /// landing zone — the fused decode_add kernels accumulate straight into
-  /// the master buffer in one pass. Reused across calls so steady-state
-  /// training does not allocate per bucket. Same serialization as seq_.
+  /// wire::wire_image_scratch_elems. fp32 legs never touch it: their image
+  /// is the buffer itself. Incoming segments need no fp32 landing zone —
+  /// the fused decode_add kernels accumulate straight into the master
+  /// buffer in one pass. Reused across calls so steady-state training does
+  /// not allocate per bucket. Same serialization as seq_.
   std::vector<std::uint16_t> wire_scratch_;
 };
 
@@ -255,68 +270,53 @@ class World {
 
  private:
   friend class Communicator;
+  struct Group;  // strided rank set / ring (communicator.cpp)
 
   void do_barrier();
   void allreduce(Communicator& self, std::span<float> data, bool average,
                  WireDtype wire);
-  void allreduce_ring(Communicator& self, std::span<float> data);
-  void allreduce_naive(Communicator& self, std::span<float> data);
-
-  // Compressed (fp16/bf16/int8 wire) variants. Same barrier/segment
-  // schedule as their fp32 twins; peers read wire images instead of fp32
-  // and each rank accumulates decoded segments into its own fp32 buffer.
-  void allreduce_ring_compressed(Communicator& self, std::span<float> data,
-                                 WireDtype wire);
-  void allreduce_naive_compressed(Communicator& self, std::span<float> data,
-                                  WireDtype wire);
-
-  // Hierarchical handles all four combinations of plain/compressed
-  // inter-node ring (`wire`) x plain/compressed intra-node legs
-  // (`local_wire`); both kFp32 reproduces the exact two-level reduction
-  // bit-identically.
-  void allreduce_hierarchical(Communicator& self, std::span<float> data,
-                              WireDtype wire, WireDtype local_wire);
   void do_broadcast(Communicator& self, std::span<float> data,
                     std::size_t root);
   void do_reduce_to(Communicator& self, std::span<float> data,
                     std::size_t root);
-  void do_allgather(Communicator& self, std::span<const float> contribution,
-                    std::vector<float>& gathered);
-
-  // Standalone ring collectives (the allreduce ring's two phases promoted
-  // to public primitives; see communicator.cpp for the shifted segment
-  // schedule that makes rank r own segment r). Each handles both the fp32
-  // and the compressed wire path.
   void do_reduce_scatter(Communicator& self, std::span<float> data,
                          WireDtype wire, std::size_t granularity);
   void do_allgather_inplace(Communicator& self, std::span<float> data,
                             WireDtype wire, std::size_t granularity);
 
+  // The collective core (see the file comment). Every rank of the world
+  // steps the barriers of each phase (count-1 for a ring phase, two for the
+  // root broadcast, none for the root reduce). Only the members of `ring`
+  // move data; `root` reduces its `group`; every other rank copies from
+  // the `root` it passes (its node leader, or rank 0).
+  void publish_segments(Communicator& self, std::span<float> data,
+                        WireDtype wire, const Group& ring);
+  void ring_reduce_scatter(Communicator& self, std::span<float> data,
+                           WireDtype wire, const Group& ring,
+                           bool publish_last);
+  void ring_allgather(Communicator& self, std::span<float> data,
+                      WireDtype wire, const Group& ring);
+  void root_reduce(Communicator& self, std::span<float> data, WireDtype wire,
+                   const Group& group, std::size_t root);
+  void root_broadcast(Communicator& self, std::span<float> data,
+                      WireDtype wire, std::size_t root);
+
   /// Registers `rank`'s buffer for the collective that is about to start,
   /// tagged with the rank's collective sequence number, the op name, and
-  /// the requested wire dtype (with the rank's 16-bit wire image when the
-  /// dtype is compressed). Must be followed by a barrier before any peer
-  /// reads it.
+  /// the requested wire dtype (with the rank's wire scratch when any leg
+  /// of the call is compressed). Must be followed by a barrier before any
+  /// peer reads it.
   void register_buffer(std::size_t rank, float* data, std::size_t count,
                        std::uint64_t seq, const char* op,
                        WireDtype wire = WireDtype::kFp32,
                        std::uint16_t* wire_buf = nullptr,
                        std::size_t granularity = 1)
       CANDLE_EXCLUDES(reg_mutex_);
-  void register_const_buffer(std::size_t rank, const float* data,
-                             std::size_t count, std::uint64_t seq,
-                             const char* op) CANDLE_EXCLUDES(reg_mutex_);
 
-  /// Pointer `rank` registered for the current collective. The returned
-  /// payload may only be dereferenced in barrier phases where `rank` is not
-  /// writing the same segment.
-  [[nodiscard]] float* peer_buffer(std::size_t rank) const
-      CANDLE_EXCLUDES(reg_mutex_);
-  [[nodiscard]] const float* peer_const_buffer(std::size_t rank) const
-      CANDLE_EXCLUDES(reg_mutex_);
-  [[nodiscard]] std::size_t peer_count(std::size_t rank) const
-      CANDLE_EXCLUDES(reg_mutex_);
-  [[nodiscard]] std::uint16_t* peer_wire_buffer(std::size_t rank) const
+  /// The image `rank` registered for a leg at `wire`: its fp32 buffer for
+  /// kFp32, its wire scratch otherwise. May only be dereferenced in barrier
+  /// phases where `rank` is not writing the same segment.
+  [[nodiscard]] const void* peer_image(std::size_t rank, WireDtype wire) const
       CANDLE_EXCLUDES(reg_mutex_);
 
   /// Throws CommError unless every rank registered `count` elements for
@@ -340,7 +340,6 @@ class World {
       CANDLE_LOCK_LEVEL(lock_order::level::kCommRendezvous),
       "comm::World::reg_mutex_"};
   std::vector<float*> bufs_ CANDLE_GUARDED_BY(reg_mutex_);
-  std::vector<const float*> const_bufs_ CANDLE_GUARDED_BY(reg_mutex_);
   std::vector<std::uint16_t*> wire_bufs_ CANDLE_GUARDED_BY(reg_mutex_);
   std::vector<std::size_t> counts_ CANDLE_GUARDED_BY(reg_mutex_);
   std::vector<std::uint64_t> seqs_ CANDLE_GUARDED_BY(reg_mutex_);

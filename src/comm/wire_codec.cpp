@@ -6,7 +6,6 @@
 #include <string>
 
 #include "common/error.h"
-#include "common/parallel.h"
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -480,10 +479,6 @@ DecodeInt8Fn select_int8_decode_add() {
   return decode_add_int8_reference;
 }
 
-/// Per-hop ring segments below this many elements convert inline on the
-/// calling thread; larger buffers fan out over its parallel team.
-constexpr std::size_t kConvertGrain = 1u << 16;
-
 }  // namespace
 
 void encode(WireDtype dtype, const float* src, std::uint16_t* dst,
@@ -511,22 +506,6 @@ void decode_add(WireDtype dtype, const std::uint16_t* src, float* dst,
   static const DecodeFn f16 = select_f16_decode_add();
   static const DecodeFn bf16 = select_bf16_decode_add();
   (dtype == WireDtype::kFp16 ? f16 : bf16)(src, dst, n);
-}
-
-void encode_parallel(WireDtype dtype, const float* src, std::uint16_t* dst,
-                     std::size_t n) {
-  parallel::parallel_for(0, n, kConvertGrain,
-                         [&](std::size_t b, std::size_t e) {
-                           encode(dtype, src + b, dst + b, e - b);
-                         });
-}
-
-void decode_parallel(WireDtype dtype, const std::uint16_t* src, float* dst,
-                     std::size_t n) {
-  parallel::parallel_for(0, n, kConvertGrain,
-                         [&](std::size_t b, std::size_t e) {
-                           decode(dtype, src + b, dst + b, e - b);
-                         });
 }
 
 void encode_int8(const float* src, std::uint8_t* payload, float* scales,
@@ -574,34 +553,6 @@ void quantization_residual(WireDtype dtype, const float* data, float* residual,
     decode(dtype, words, rt, len);
     for (std::size_t i = 0; i < len; ++i) residual[b + i] = data[b + i] - rt[i];
   }
-}
-
-void encode_int8_parallel(const float* src, std::uint8_t* payload,
-                          float* scales, std::size_t n) {
-  const std::size_t chunks =
-      (n + kInt8ChunkElems - 1) / kInt8ChunkElems;
-  parallel::parallel_for(0, chunks, kConvertGrain / kInt8ChunkElems,
-                         [&](std::size_t c0, std::size_t c1) {
-                           const std::size_t b = c0 * kInt8ChunkElems;
-                           const std::size_t e =
-                               std::min(n, c1 * kInt8ChunkElems);
-                           encode_int8(src + b, payload + b, scales + b,
-                                       e - b);
-                         });
-}
-
-void decode_int8_parallel(const std::uint8_t* payload, const float* scales,
-                          float* dst, std::size_t n) {
-  const std::size_t chunks =
-      (n + kInt8ChunkElems - 1) / kInt8ChunkElems;
-  parallel::parallel_for(0, chunks, kConvertGrain / kInt8ChunkElems,
-                         [&](std::size_t c0, std::size_t c1) {
-                           const std::size_t b = c0 * kInt8ChunkElems;
-                           const std::size_t e =
-                               std::min(n, c1 * kInt8ChunkElems);
-                           decode_int8(payload + b, scales + b, dst + b,
-                                       e - b);
-                         });
 }
 
 }  // namespace wire

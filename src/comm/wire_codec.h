@@ -11,11 +11,7 @@
 //    vectorized path produce bit-identical wire bytes;
 //  - runtime dispatch like the GEMM microkernel: an F16C/AVX2 variant is
 //    selected once per process when __builtin_cpu_supports says it is safe,
-//    else the portable scalar kernel runs;
-//  - candle::parallel-threaded wrappers for whole-buffer conversion. The
-//    16-bit conversion is elementwise and the int8 wrappers partition on
-//    quantization-chunk boundaries, so the thread partitioning cannot change
-//    any result — threaded output is bit-identical to serial at any width.
+//    else the portable scalar kernel runs.
 //
 // Error bounds (tested in tests/test_codec.cpp): one fp32 -> fp16 -> fp32
 // round trip of a finite value in fp16 normal range has relative error
@@ -48,8 +44,6 @@ inline constexpr std::size_t kNumWireDtypes = 4;
 
 /// Elements per int8 quantization chunk: one fp32 absmax scale is stored per
 /// chunk, so the metadata overhead is 4/256 = 1.6% of the payload bytes.
-/// A power of two so kConvertGrain-aligned parallel splits stay on chunk
-/// boundaries.
 inline constexpr std::size_t kInt8ChunkElems = 256;
 
 /// Stable index of a dtype for stats arrays / CLI tables.
@@ -105,7 +99,9 @@ namespace wire {
 // neighbour segment's metadata. The full-size plane trades scratch memory
 // (4 B/element, never on the wire) for that independence.
 
-/// uint16 scratch elements needed to hold one wire image of `n` elements.
+/// uint16 scratch elements needed to hold one wire image of `n` elements
+/// (none for fp32: the collectives treat it as the identity codec, whose
+/// image is the fp32 buffer itself).
 [[nodiscard]] constexpr std::size_t wire_image_scratch_elems(WireDtype d,
                                                              std::size_t n) {
   switch (d) {
@@ -195,22 +191,6 @@ void decode_add_int8(const std::uint8_t* payload, const float* scales,
 /// pool width (it never threads). `dtype` must not be kFp32.
 void quantization_residual(WireDtype dtype, const float* data,
                            float* residual, std::size_t n);
-
-// --- candle::parallel-threaded wrappers -----------------------------------
-// Chunked over candle::parallel with a grain large enough that per-hop ring
-// segments below it run inline on the calling (rank/comm) thread; pool
-// workers only ever touch the src/dst buffers, never the communicator. The
-// int8 wrappers partition on kInt8ChunkElems boundaries so the scale grid —
-// and therefore every output bit — is independent of the pool width.
-
-void encode_parallel(WireDtype dtype, const float* src, std::uint16_t* dst,
-                     std::size_t n);
-void decode_parallel(WireDtype dtype, const std::uint16_t* src, float* dst,
-                     std::size_t n);
-void encode_int8_parallel(const float* src, std::uint8_t* payload,
-                          float* scales, std::size_t n);
-void decode_int8_parallel(const std::uint8_t* payload, const float* scales,
-                          float* dst, std::size_t n);
 
 }  // namespace wire
 

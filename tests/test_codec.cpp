@@ -1,8 +1,7 @@
 // Tests for src/comm/wire_codec: round-to-nearest-even fp32<->fp16/bf16
 // conversions, the documented round-trip error bounds, bitwise parity of
 // the dispatched (possibly vectorized) buffer kernels against the scalar
-// reference, and bitwise parity of the parallel wrappers against serial at
-// several pool widths.
+// reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +14,6 @@
 #include "comm/communicator.h"
 #include "comm/wire_codec.h"
 #include "common/error.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 
 namespace candle::comm {
@@ -272,37 +270,6 @@ TEST(WireKernels, Fp32RejectsEncodeDecode) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel wrappers: bit-identical to serial at any pool width
-// ---------------------------------------------------------------------------
-
-TEST(WireKernels, ParallelMatchesSerialBitwiseAcrossPoolWidths) {
-  // Large enough that the 2^16-element grain actually splits the buffer.
-  const std::size_t n = (1u << 17) + 13;
-  std::vector<float> in(n);
-  Rng rng(46);
-  for (float& v : in) v = static_cast<float>(rng.normal(0.0, 1.0));
-  for (WireDtype d : {WireDtype::kFp16, WireDtype::kBf16}) {
-    std::vector<std::uint16_t> serial_w(n), par_w(n);
-    std::vector<float> serial_f(n), par_f(n);
-    wire::encode(d, in.data(), serial_w.data(), n);
-    wire::decode(d, serial_w.data(), serial_f.data(), n);
-    const std::size_t saved = parallel::num_threads();
-    for (std::size_t threads : {1u, 2u, 4u}) {
-      parallel::set_num_threads(threads);
-      wire::encode_parallel(d, in.data(), par_w.data(), n);
-      wire::decode_parallel(d, par_w.data(), par_f.data(), n);
-      EXPECT_EQ(0, std::memcmp(serial_w.data(), par_w.data(),
-                               n * sizeof(std::uint16_t)))
-          << wire_dtype_name(d) << " threads=" << threads;
-      EXPECT_EQ(0,
-                std::memcmp(serial_f.data(), par_f.data(), n * sizeof(float)))
-          << wire_dtype_name(d) << " threads=" << threads;
-    }
-    parallel::set_num_threads(saved);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Block-scaled int8: error bound, exact grids, dispatch parity, residuals
 // ---------------------------------------------------------------------------
 
@@ -429,33 +396,6 @@ TEST(WireInt8, DecodeAddMatchesDecodeThenAddBitwise) {
   for (std::size_t i = 0; i < n; ++i) reference[i] += scratch[i];
   for (std::size_t i = 0; i < n; ++i)
     ASSERT_EQ(to_bits(fused[i]), to_bits(reference[i])) << "i=" << i;
-}
-
-TEST(WireInt8, ParallelMatchesSerialBitwiseAcrossPoolWidths) {
-  // Large enough that the chunk-aligned grain actually splits the buffer;
-  // the scale grid is a function of element index alone, so every pool
-  // width must produce identical planes.
-  const std::size_t n = (1u << 17) + 13;
-  std::vector<float> in(n);
-  Rng rng(51);
-  for (float& v : in) v = static_cast<float>(rng.normal(0.0, 1.0));
-  std::vector<std::uint8_t> pay_s(n), pay_p(n);
-  std::vector<float> sc_s(n, -1.0f), sc_p(n, -1.0f), out_s(n), out_p(n);
-  wire::encode_int8(in.data(), pay_s.data(), sc_s.data(), n);
-  wire::decode_int8(pay_s.data(), sc_s.data(), out_s.data(), n);
-  const std::size_t saved = parallel::num_threads();
-  for (std::size_t threads : {1u, 2u, 4u}) {
-    parallel::set_num_threads(threads);
-    wire::encode_int8_parallel(in.data(), pay_p.data(), sc_p.data(), n);
-    wire::decode_int8_parallel(pay_p.data(), sc_p.data(), out_p.data(), n);
-    EXPECT_EQ(0, std::memcmp(pay_s.data(), pay_p.data(), n))
-        << "threads=" << threads;
-    EXPECT_EQ(0, std::memcmp(sc_s.data(), sc_p.data(), n * sizeof(float)))
-        << "threads=" << threads;
-    EXPECT_EQ(0, std::memcmp(out_s.data(), out_p.data(), n * sizeof(float)))
-        << "threads=" << threads;
-  }
-  parallel::set_num_threads(saved);
 }
 
 TEST(WireResidual, EqualsDataMinusRoundTripBitwise) {

@@ -3,8 +3,11 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <functional>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "comm/communicator.h"
@@ -340,17 +343,27 @@ TEST(ReduceTo, CountsInStats) {
 // ---------------------------------------------------------------------------
 
 TEST(Allgather, GathersInRankOrder) {
-  World::run(4, [](Communicator& c) {
-    const std::vector<float> mine{static_cast<float>(c.rank()) * 10.0f,
-                                  static_cast<float>(c.rank()) * 10.0f + 1};
-    std::vector<float> all;
-    c.allgather(mine, all);
-    ASSERT_EQ(all.size(), 8u);
-    for (std::size_t r = 0; r < 4; ++r) {
-      EXPECT_FLOAT_EQ(all[r * 2], static_cast<float>(r) * 10.0f);
-      EXPECT_FLOAT_EQ(all[r * 2 + 1], static_cast<float>(r) * 10.0f + 1);
+  const std::size_t ranks = 4;
+  for (std::size_t n : {0u, 2u, 5u}) {
+    const auto stats = World::run(ranks, [&](Communicator& c) {
+      std::vector<float> mine(n);
+      for (std::size_t i = 0; i < n; ++i)
+        mine[i] = static_cast<float>(c.rank() * 10 + i);
+      std::vector<float> all(3, -1.0f);  // stale contents get replaced
+      c.allgather(std::span<const float>(mine), all);
+      ASSERT_EQ(all.size(), ranks * n);
+      for (std::size_t r = 0; r < ranks; ++r)
+        for (std::size_t i = 0; i < n; ++i)
+          EXPECT_FLOAT_EQ(all[r * n + i], static_cast<float>(r * 10 + i));
+    });
+    // Each rank receives the other P-1 contributions as fp32.
+    for (const auto& s : stats) {
+      EXPECT_EQ(s.allgather_wire_bytes[wire_dtype_index(WireDtype::kFp32)],
+                (ranks - 1) * n * sizeof(float))
+          << "n=" << n;
+      EXPECT_EQ(s.bytes_sent, (ranks - 1) * n * sizeof(float)) << "n=" << n;
     }
-  });
+  }
 }
 
 TEST(AllreduceScalar, SumsDoubles) {
@@ -1091,6 +1104,145 @@ TEST(ReduceScatter, DeterministicAcrossRuns) {
                      reinterpret_cast<const char*>(second[r].data()) + b,
                      e - b))
         << "rank " << r;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Golden digests: the per-segment summation order, pinned bit for bit
+// ---------------------------------------------------------------------------
+// The tests above use small integers (exact under any association) or a
+// tolerance, so none would notice a collective that sums in another order.
+// These fold every rank's output bytes and bytes_sent, over ranks {2,3,5,7}
+// x n {1,7,1000} of seeded normal inputs, into one FNV-1a digest per
+// (collective, dtype) row and compare it against recorded constants, so a
+// change to the order in which any segment is summed fails here.
+
+std::uint64_t fnv1a(const void* p, std::size_t bytes, std::uint64_t h) {
+  const auto* b = static_cast<const unsigned char*>(p);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h ^= b[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Runs `op` on every (ranks, units) cell; `op` returns the slice of the
+/// rank's buffer that is its output. Buffers hold units * granularity
+/// seeded normals.
+std::uint64_t collective_digest(
+    const WorldOptions& opt, std::size_t granularity,
+    const std::function<std::span<const float>(Communicator&,
+                                               std::span<float>)>& op) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t ranks : {2u, 3u, 5u, 7u}) {
+    for (std::size_t units : {1u, 7u, 1000u}) {
+      const std::size_t n = units * granularity;
+      std::vector<std::vector<float>> out(ranks);
+      const auto stats = World::run(
+          ranks,
+          [&](Communicator& c) {
+            Rng rng(4242 + 97 * c.rank() + n);
+            std::vector<float> data(n);
+            for (float& v : data) v = static_cast<float>(rng.normal(0.0, 1.0));
+            const auto result = op(c, data);
+            out[c.rank()].assign(result.begin(), result.end());
+          },
+          opt);
+      for (std::size_t r = 0; r < ranks; ++r) {
+        h = fnv1a(out[r].data(), out[r].size() * sizeof(float), h);
+        const std::uint64_t sent = stats[r].bytes_sent;
+        h = fnv1a(&sent, sizeof(sent), h);
+      }
+    }
+  }
+  return h;
+}
+
+constexpr WireDtype kDigestDtypes[] = {WireDtype::kFp32, WireDtype::kFp16,
+                                       WireDtype::kBf16, WireDtype::kInt8};
+
+TEST(GoldenDigest, AllreduceSummationOrderIsPinned) {
+  struct Row {
+    AllreduceAlgo algo;
+    WireDtype local_wire;
+    std::uint64_t expected[4];  // by kDigestDtypes
+  };
+  const Row rows[] = {
+      {AllreduceAlgo::kRing, WireDtype::kFp32,
+       {0x0a074dc014b4275dULL, 0x11fe033c0b8b9f3fULL,
+        0x5ad3a6fcdb648b6cULL, 0x568966d4f847a0e2ULL}},
+      {AllreduceAlgo::kNaive, WireDtype::kFp32,
+       {0x6ff6fa3c514688deULL, 0x826296d6c2272099ULL,
+        0x2e42b8bbb496e03aULL, 0xeecc1c5165456f11ULL}},
+      {AllreduceAlgo::kHierarchical, WireDtype::kFp32,
+       {0x37903b5192a7beaaULL, 0x5eefa94141cc25eaULL,
+        0x9f17747f541872b9ULL, 0xc99013f1089cfbadULL}},
+      {AllreduceAlgo::kHierarchical, WireDtype::kInt8,
+       {0x1274ce8d6c949ce3ULL, 0x4b13bada21ae1e80ULL,
+        0x2c02f48d9f40ecf5ULL, 0x9e39961df161a673ULL}},
+  };
+  for (const Row& row : rows) {
+    for (std::size_t d = 0; d < 4; ++d) {
+      WorldOptions opt;
+      opt.allreduce_algo = row.algo;
+      opt.ranks_per_node = 3;
+      opt.local_wire_dtype = row.local_wire;
+      const WireDtype wire = kDigestDtypes[d];
+      const std::uint64_t got = collective_digest(
+          opt, 1, [&](Communicator& c, std::span<float> data) {
+            c.allreduce_sum(data, wire);
+            return std::span<const float>(data);
+          });
+      EXPECT_EQ(got, row.expected[d])
+          << allreduce_algo_name(row.algo) << " local="
+          << wire_dtype_name(row.local_wire) << " wire="
+          << wire_dtype_name(wire) << ": 0x" << std::hex << got;
+    }
+  }
+}
+
+TEST(GoldenDigest, ReduceScatterAndAllgatherSummationOrderIsPinned) {
+  struct Row {
+    bool reduce_scatter;
+    std::size_t granularity;
+    std::uint64_t expected[4];  // by kDigestDtypes
+  };
+  const Row rows[] = {
+      {true, 1,
+       {0x2b91f33c601c1938ULL, 0x7f5598debed95e69ULL,
+        0xa3024d29cf60feefULL, 0xfae924103a8c9311ULL}},
+      {true, 4,
+       {0xb7086ab6f514fb9eULL, 0xaaceb772f72e621fULL,
+        0xd0eab43aefa8a61dULL, 0x89ef5c570df9bcdaULL}},
+      {false, 1,
+       {0x4642254387139b50ULL, 0x56caeaacc897c3dcULL,
+        0x239210c622a58be2ULL, 0xf434facc175a0505ULL}},
+      {false, 4,
+       {0xa07b361789b785b1ULL, 0x32ab7680aa440950ULL,
+        0x0f85e342be569032ULL, 0xbd267f6c795d9289ULL}},
+  };
+  for (const Row& row : rows) {
+    for (std::size_t d = 0; d < 4; ++d) {
+      const WireDtype wire = kDigestDtypes[d];
+      const std::size_t g = row.granularity;
+      const std::uint64_t got = collective_digest(
+          WorldOptions{}, g, [&](Communicator& c, std::span<float> data) {
+            if (!row.reduce_scatter) {
+              c.allgather(data, wire, g);
+              return std::span<const float>(data);
+            }
+            c.reduce_scatter(data, wire, g);
+            // Only the owned segment is output; the rest is scratch.
+            const std::size_t units = data.size() / g, p = c.size();
+            const std::size_t b = g * (c.rank() * units / p);
+            const std::size_t e = g * ((c.rank() + 1) * units / p);
+            return std::span<const float>(data.data() + b, e - b);
+          });
+      EXPECT_EQ(got, row.expected[d])
+          << (row.reduce_scatter ? "reduce_scatter" : "allgather")
+          << " granularity=" << g << " wire=" << wire_dtype_name(wire)
+          << ": 0x" << std::hex << got;
+    }
   }
 }
 
