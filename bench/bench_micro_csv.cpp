@@ -1,9 +1,11 @@
 // Micro-benchmarks (google-benchmark) of the four CSV readers across file
 // geometries — the kernel-level view of Tables 3/4. BM_ReadParallel sweeps
-// the candle::parallel pool width (third arg: 1/2/4 threads, 0 = default)
-// and feeds the committed BENCH_parallel.json:
+// the candle::parallel pool width (third arg: 1/2/4 threads, 0 = default).
+// Every BM_Read* row feeds the committed BENCH_parallel_csv.json (the full
+// recipe, with repetitions and the provenance context, is in
+// EXPERIMENTS.md):
 //   CANDLE_NUM_THREADS=4 build/bench/bench_micro_csv
-//     --benchmark_filter=Parallel --benchmark_out=BENCH_parallel_csv.json
+//     --benchmark_filter=Read --benchmark_out=BENCH_parallel_csv.json
 //     --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <vector>
 
@@ -17,9 +17,6 @@ namespace {
 
 /// Parse-level validation failures are IoErrors (bad file content), not
 /// InvalidArgument (bad caller arguments).
-inline void io_require(bool cond, const char* msg) {
-  if (!cond) throw IoError(msg);
-}
 inline void io_require(bool cond, const std::string& msg) {
   if (!cond) throw IoError(msg);
 }
@@ -30,29 +27,20 @@ inline void io_require(bool cond, const std::string& msg) {
                 " fields, expected " + std::to_string(expected) + ")");
 }
 
-/// RAII FILE handle.
-struct File {
-  std::FILE* f = nullptr;
-  explicit File(const std::string& path) {
-    f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) throw IoError("read_csv: cannot open " + path);
+/// Fast float parse used by the streaming core: parses the field that
+/// starts at `begin` into `out` and returns its end (the next ',' or
+/// `end`). from_chars finds the end itself, so cells are scanned once.
+inline const char* parse_fast(const char* begin, const char* end,
+                              float& out) {
+  if (begin == end || *begin == ',') {  // empty field == NaN -> 0
+    out = 0.0f;
+    return begin;
   }
-  ~File() {
-    if (f) std::fclose(f);
-  }
-  File(const File&) = delete;
-  File& operator=(const File&) = delete;
-};
-
-/// Fast float parse used by the optimized/dask paths.
-inline float parse_fast(const char* begin, const char* end) {
-  if (begin == end) return 0.0f;  // empty field == NaN -> 0
-  float v = 0.0f;
-  const auto [ptr, ec] = std::from_chars(begin, end, v);
-  if (ec != std::errc{} || ptr != end)
+  const auto [ptr, ec] = std::from_chars(begin, end, out);
+  if (ec != std::errc{} || (ptr != end && *ptr != ','))
     throw IoError("read_csv: malformed numeric field '" +
-                  std::string(begin, end) + "'");
-  return v;
+                  std::string(begin, std::find(begin, end, ',')) + "'");
+  return ptr;
 }
 
 /// Float64 cell conversion for the original reader. The per-cell cost is
@@ -79,6 +67,152 @@ inline bool try_parse_int(const char* begin, const char* end,
   return ec == std::errc{} && ptr == end;
 }
 
+/// One non-blank line of the current block, trailing '\r' trimmed.
+struct Line {
+  const char* begin;
+  const char* end;
+};
+
+struct BlockCounts {
+  std::size_t bytes = 0;   // bytes read from the file
+  std::size_t blocks = 0;  // fread calls that returned data
+};
+
+/// The block reader every reader shares. Streams the file in `block_bytes`
+/// reads, each appended after the previous block's unfinished last line,
+/// and after each read hands `on_block` that block's complete non-blank
+/// lines in file order (one memchr sweep over the new bytes). At end of
+/// file the unterminated final line, if any, gets a call of its own. The
+/// lines point into the block buffer and are valid only during the call.
+/// Memory stays at one block plus the carried partial line.
+template <typename OnBlock>
+BlockCounts for_each_block(const std::string& path, std::size_t block_bytes,
+                           OnBlock&& on_block) {
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
+      std::fopen(path.c_str(), "rb"), &std::fclose);
+  if (!file) throw IoError("read_csv: cannot open " + path);
+  BlockCounts counts;
+  // Left uninitialized: fread fills only what the file has, so a small
+  // file read with a 16 MiB block touches a few pages, not 16 MiB.
+  std::unique_ptr<char[]> buf;
+  std::size_t capacity = 0;
+  std::vector<Line> lines;
+  std::size_t carry = 0;  // bytes of the unfinished line at buf's front
+  const auto add_line = [&](const char* begin, const char* end) {
+    if (end > begin && end[-1] == '\r') --end;
+    if (end > begin) lines.push_back({begin, end});
+  };
+  while (true) {
+    if (carry + block_bytes > capacity) {  // first block, or a long line
+      capacity = std::max(2 * capacity, carry + block_bytes);
+      auto grown = std::make_unique_for_overwrite<char[]>(capacity);
+      if (carry > 0) std::memcpy(grown.get(), buf.get(), carry);
+      buf = std::move(grown);
+    }
+    const std::size_t n =
+        std::fread(buf.get() + carry, 1, block_bytes, file.get());
+    if (n == 0) break;
+    counts.bytes += n;
+    ++counts.blocks;
+    lines.clear();
+    const char* line = buf.get();
+    const char* p = buf.get() + carry;  // the carry holds no '\n'
+    const char* const end = p + n;
+    while (const char* nl = static_cast<const char*>(
+               std::memchr(p, '\n', static_cast<std::size_t>(end - p)))) {
+      add_line(line, nl);
+      line = p = nl + 1;
+    }
+    on_block(lines);
+    carry = static_cast<std::size_t>(end - line);
+    if (line != buf.get()) std::memmove(buf.get(), line, carry);
+  }
+  lines.clear();
+  add_line(buf.get(), buf.get() + carry);
+  if (!lines.empty()) on_block(lines);
+  return counts;
+}
+
+/// Parses one row into `out`: every field when `keep` is empty, else the
+/// fields whose indices `keep` lists (ascending). Throws on the first
+/// malformed field, as soon as the row passes `cols` fields, or at its end
+/// when it has fewer.
+void parse_row(const Line& row, std::size_t cols,
+               const std::vector<std::size_t>& keep, float* out) {
+  std::size_t picked = 0;
+  const char* p = row.begin;
+  for (std::size_t c = 0;; ++c) {
+    if (c == cols)
+      throw IoError("read_csv: ragged row (got more fields than the " +
+                    std::to_string(cols) + " expected)");
+    const char* const field_end =
+        keep.empty() || (picked < keep.size() && keep[picked] == c)
+            ? parse_fast(p, row.end, out[picked++])
+            : std::find(p, row.end, ',');
+    if (field_end == row.end) {
+      if (c + 1 != cols) throw_ragged_row(c + 1, cols);
+      return;
+    }
+    p = field_end + 1;
+  }
+}
+
+/// The one fast reader behind chunked, parallel, selected and dask: each
+/// block's line table (phase 1, in for_each_block) drops the first
+/// `skip_rows` kept lines in file order, the first remaining row fixes the
+/// column count, then phase 2 grows the frame by the block's rows and
+/// parses each row straight into its slot — on the calling thread, or
+/// across its parallel team when `on_team` is set. Rows never move between
+/// blocks and phase 2 stops at the first failing row of the lowest chunk,
+/// so every block size and team width yields the same frame or error.
+DataFrame read_csv_core(const std::string& path, std::size_t block_bytes,
+                        bool on_team, const CsvSelect& select,
+                        CsvReadStats* stats) {
+  Stopwatch watch;
+  std::vector<std::size_t> keep = select.usecols;
+  std::sort(keep.begin(), keep.end());
+  io_require(std::adjacent_find(keep.begin(), keep.end()) == keep.end(),
+             "read_csv_selected: duplicate column in usecols");
+
+  DataFrame df;
+  std::size_t file_cols = 0;  // fields per row in the file
+  std::size_t to_skip = select.skip_rows;
+  const BlockCounts counts =
+      for_each_block(path, block_bytes, [&](const std::vector<Line>& lines) {
+        const std::size_t skipped = std::min(to_skip, lines.size());
+        to_skip -= skipped;
+        const Line* rows = lines.data() + skipped;
+        const std::size_t n = lines.size() - skipped;
+        if (n == 0) return;
+        if (file_cols == 0) {
+          file_cols = 1 + static_cast<std::size_t>(
+                              std::count(rows[0].begin, rows[0].end, ','));
+          io_require(keep.empty() || keep.back() < file_cols,
+                     "read_csv_selected: usecols index out of range (file "
+                     "has " + std::to_string(file_cols) + " columns)");
+          df.cols = keep.empty() ? file_cols : keep.size();
+        }
+        const std::size_t first = df.rows;
+        df.rows += n;
+        df.data.resize(df.rows * df.cols);
+        const auto parse_rows = [&](std::size_t r0, std::size_t r1) {
+          for (std::size_t r = r0; r < r1; ++r)
+            parse_row(rows[r], file_cols, keep,
+                      df.data.data() + (first + r) * df.cols);
+        };
+        if (on_team)
+          parallel::parallel_for(0, n, 64, parse_rows);
+        else
+          parse_rows(0, n);
+      });
+
+  io_require(df.rows > 0, "read_csv: no data rows in " + path);
+  if (stats != nullptr)
+    *stats = {watch.seconds(), counts.bytes, df.rows, df.cols, counts.blocks,
+              0};
+  return df;
+}
+
 }  // namespace
 
 std::string loader_name(LoaderKind kind) {
@@ -100,7 +234,6 @@ DataFrame read_csv_original(const std::string& path, CsvReadStats* stats,
   require(low_memory_chunk_bytes >= 4096,
           "read_csv_original: chunk must be >= 4 KiB");
   Stopwatch watch;
-  File file(path);
 
   // Per-column piece lists: each text chunk contributes one piece per column.
   std::vector<std::vector<std::vector<double>>> column_pieces;
@@ -108,10 +241,7 @@ DataFrame read_csv_original(const std::string& path, CsvReadStats* stats,
   std::size_t total_rows = 0;
   std::size_t chunks = 0;
   std::size_t piece_allocs = 0;
-  std::size_t file_bytes = 0;
 
-  std::vector<char> buf(low_memory_chunk_bytes);
-  std::string carry;  // partial trailing line from the previous read
   std::vector<std::pair<const char*, const char*>> cells;
 
   // Rows of the current text chunk, as (begin, end) cell ranges per column.
@@ -149,7 +279,6 @@ DataFrame read_csv_original(const std::string& path, CsvReadStats* stats,
   };
 
   auto process_line = [&](const char* begin, const char* end) {
-    if (begin == end) return;  // skip blank lines
     cells.clear();
     const char* field = begin;
     for (const char* p = begin; p <= end; ++p) {
@@ -166,41 +295,12 @@ DataFrame read_csv_original(const std::string& path, CsvReadStats* stats,
     chunk_rows.push_back(cells);
   };
 
-  std::string text;  // the chunk's stable backing store
-  while (true) {
-    const std::size_t n = std::fread(buf.data(), 1, buf.size(), file.f);
-    file_bytes += n;
-    if (n == 0) break;
-    text.assign(carry);
-    text.append(buf.data(), n);
-    carry.clear();
-    // Keep the trailing partial line for the next chunk.
-    std::size_t last_nl = text.rfind('\n');
-    if (last_nl == std::string::npos) {
-      carry = text;
-      continue;
-    }
-    carry.assign(text, last_nl + 1, std::string::npos);
-    const char* p = text.data();
-    const char* chunk_end = text.data() + last_nl;  // exclusive of final \n
-    while (p <= chunk_end) {
-      const char* nl = static_cast<const char*>(
-          std::memchr(p, '\n', static_cast<std::size_t>(chunk_end - p + 1)));
-      if (nl == nullptr) nl = chunk_end;
-      const char* line_end = (nl > p && nl[-1] == '\r') ? nl - 1 : nl;
-      process_line(p, line_end);
-      p = nl + 1;
-    }
-    flush_chunk();
-  }
-  if (!carry.empty()) {
-    text.assign(carry);
-    const char* b = text.data();
-    const char* e = b + text.size();
-    if (e > b && e[-1] == '\r') --e;
-    process_line(b, e);
-    flush_chunk();
-  }
+  // Each text chunk's rows are tokenized, then flushed as one chunk.
+  const BlockCounts counts = for_each_block(
+      path, low_memory_chunk_bytes, [&](const std::vector<Line>& lines) {
+        for (const Line& line : lines) process_line(line.begin, line.end);
+        flush_chunk();
+      });
 
   io_require(cols > 0 && total_rows > 0, "read_csv: empty file " + path);
 
@@ -223,401 +323,46 @@ DataFrame read_csv_original(const std::string& path, CsvReadStats* stats,
     for (std::size_t r = 0; r < total_rows; ++r)
       df.data[r * cols + c] = static_cast<float>(columns[c][r]);
 
-  if (stats != nullptr) {
-    stats->seconds = watch.seconds();
-    stats->bytes = file_bytes;
-    stats->rows = df.rows;
-    stats->cols = df.cols;
-    stats->chunks = chunks;
-    stats->piece_allocs = piece_allocs;
-  }
+  if (stats != nullptr)
+    *stats = {watch.seconds(), counts.bytes, df.rows, df.cols, chunks,
+              piece_allocs};
   return df;
 }
 
 // ---------------------------------------------------------------------------
-// read_csv_chunked: the paper's optimized loader.
+// The four fast entry points: thin calls into read_csv_core.
 // ---------------------------------------------------------------------------
 
 DataFrame read_csv_chunked(const std::string& path, CsvReadStats* stats,
                            std::size_t chunk_bytes) {
   require(chunk_bytes >= 4096, "read_csv_chunked: chunk must be >= 4 KiB");
-  Stopwatch watch;
-  File file(path);
-
-  DataFrame df;
-  std::size_t file_bytes = 0;
-  std::size_t blocks = 0;
-
-  std::vector<char> buf(chunk_bytes);
-  std::string carry;
-  std::string text;
-
-  auto process_line = [&](const char* begin, const char* end) {
-    if (begin == end) return;
-    std::size_t c = 0;
-    const char* field = begin;
-    for (const char* p = begin; p <= end; ++p) {
-      if (p == end || *p == ',') {
-        df.data.push_back(parse_fast(field, p));
-        field = p + 1;
-        ++c;
-      }
-    }
-    if (df.cols == 0) {
-      df.cols = c;
-    } else {
-      if (c != df.cols) throw_ragged_row(c, df.cols);
-    }
-    ++df.rows;
-  };
-
-  while (true) {
-    const std::size_t n = std::fread(buf.data(), 1, buf.size(), file.f);
-    file_bytes += n;
-    if (n == 0) break;
-    ++blocks;
-    text.assign(carry);
-    text.append(buf.data(), n);
-    carry.clear();
-    const std::size_t last_nl = text.rfind('\n');
-    if (last_nl == std::string::npos) {
-      carry = text;
-      continue;
-    }
-    carry.assign(text, last_nl + 1, std::string::npos);
-    const char* p = text.data();
-    const char* chunk_end = text.data() + last_nl;
-    while (p <= chunk_end) {
-      const char* nl = static_cast<const char*>(
-          std::memchr(p, '\n', static_cast<std::size_t>(chunk_end - p + 1)));
-      if (nl == nullptr) nl = chunk_end;
-      const char* line_end = (nl > p && nl[-1] == '\r') ? nl - 1 : nl;
-      process_line(p, line_end);
-      p = nl + 1;
-    }
-  }
-  if (!carry.empty()) {
-    text.assign(carry);
-    const char* b = text.data();
-    const char* e = b + text.size();
-    if (e > b && e[-1] == '\r') --e;
-    process_line(b, e);
-  }
-
-  io_require(df.cols > 0 && df.rows > 0, "read_csv: empty file " + path);
-  if (stats != nullptr) {
-    stats->seconds = watch.seconds();
-    stats->bytes = file_bytes;
-    stats->rows = df.rows;
-    stats->cols = df.cols;
-    stats->chunks = blocks;
-    stats->piece_allocs = 0;
-  }
-  return df;
+  return read_csv_core(path, chunk_bytes, false, CsvSelect{}, stats);
 }
-
-// ---------------------------------------------------------------------------
-// read_csv_dask: segmented reader.
-// ---------------------------------------------------------------------------
 
 DataFrame read_csv_dask(const std::string& path, CsvReadStats* stats,
                         std::size_t segments) {
   require(segments > 0, "read_csv_dask: segments must be > 0");
-  Stopwatch watch;
-
-  // Read the whole file (dask mmaps / reads byte ranges per partition).
-  std::string text;
-  {
-    File file(path);
-    std::fseek(file.f, 0, SEEK_END);
-    const long size = std::ftell(file.f);
-    io_require(size > 0, "read_csv: empty file " + path);
-    std::fseek(file.f, 0, SEEK_SET);
-    text.resize(static_cast<std::size_t>(size));
-    if (std::fread(text.data(), 1, text.size(), file.f) != text.size())
-      throw IoError("read_csv: short read on " + path);
-  }
-
-  // Segment boundaries aligned to line starts.
-  std::vector<std::size_t> bounds{0};
-  for (std::size_t s = 1; s < segments; ++s) {
-    std::size_t pos = s * text.size() / segments;
-    const std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos || nl + 1 >= text.size()) break;
-    if (nl + 1 > bounds.back()) bounds.push_back(nl + 1);
-  }
-  bounds.push_back(text.size());
-
-  // Parse each partition into its own frame (fast parser), then concat.
-  std::vector<DataFrame> parts;
-  for (std::size_t s = 0; s + 1 < bounds.size(); ++s) {
-    DataFrame part;
-    const char* p = text.data() + bounds[s];
-    const char* seg_end = text.data() + bounds[s + 1];
-    while (p < seg_end) {
-      const char* nl = static_cast<const char*>(
-          std::memchr(p, '\n', static_cast<std::size_t>(seg_end - p)));
-      const char* line_end = nl != nullptr ? nl : seg_end;
-      const char* trimmed = (line_end > p && line_end[-1] == '\r')
-                                ? line_end - 1
-                                : line_end;
-      if (trimmed > p) {
-        std::size_t c = 0;
-        const char* field = p;
-        for (const char* q = p; q <= trimmed; ++q) {
-          if (q == trimmed || *q == ',') {
-            part.data.push_back(parse_fast(field, q));
-            field = q + 1;
-            ++c;
-          }
-        }
-        if (part.cols == 0) {
-          part.cols = c;
-        } else {
-          io_require(c == part.cols, "read_csv: ragged row in dask segment");
-        }
-        ++part.rows;
-      }
-      if (nl == nullptr) break;
-      p = nl + 1;
-    }
-    if (part.rows > 0) parts.push_back(std::move(part));
-  }
-
-  io_require(!parts.empty(), "read_csv: no data parsed from " + path);
-  DataFrame df;
-  df.cols = parts.front().cols;
-  for (const auto& part : parts) {
-    io_require(part.cols == df.cols, "read_csv: segment column mismatch");
-    df.rows += part.rows;
-  }
-  df.data.reserve(df.rows * df.cols);
-  for (auto& part : parts)
-    df.data.insert(df.data.end(), part.data.begin(), part.data.end());
-
-  if (stats != nullptr) {
-    stats->seconds = watch.seconds();
-    stats->bytes = text.size();
-    stats->rows = df.rows;
-    stats->cols = df.cols;
-    stats->chunks = parts.size();
-    stats->piece_allocs = 0;
-  }
-  return df;
+  // One block per row segment; an unknown size falls back to 16 MiB and
+  // lets the core report the open failure.
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  const std::size_t block =
+      ec ? std::size_t{16} << 20
+         : std::max<std::size_t>(
+               1, static_cast<std::size_t>((size + segments - 1) / segments));
+  return read_csv_core(path, block, false, CsvSelect{}, stats);
 }
-
-// ---------------------------------------------------------------------------
-// read_csv_parallel: the threaded two-phase extension of the chunked
-// reader. Phase 1 newline-indexes 16 MB blocks across the pool; phase 2
-// parses disjoint row ranges straight into the row-major frame. Every cell
-// goes through the same parse_fast as read_csv_chunked, so the resulting
-// frame is exactly equal for any thread count.
-// ---------------------------------------------------------------------------
 
 DataFrame read_csv_parallel(const std::string& path, CsvReadStats* stats,
                             std::size_t block_bytes) {
   require(block_bytes >= 4096, "read_csv_parallel: block must be >= 4 KiB");
-  Stopwatch watch;
-
-  // One sequential read of the file; the parallelism is in the parsing,
-  // which is where the chunked reader spends its time.
-  std::string text;
-  {
-    File file(path);
-    std::fseek(file.f, 0, SEEK_END);
-    const long size = std::ftell(file.f);
-    io_require(size > 0, "read_csv: empty file " + path);
-    std::fseek(file.f, 0, SEEK_SET);
-    text.resize(static_cast<std::size_t>(size));
-    if (std::fread(text.data(), 1, text.size(), file.f) != text.size())
-      throw IoError("read_csv: short read on " + path);
-  }
-
-  // Phase 1: per-block newline index. Blocks are disjoint byte ranges, so
-  // each worker scans its own blocks with memchr; concatenating the block
-  // lists in block order reproduces the sequential newline sequence.
-  const std::size_t blocks = (text.size() + block_bytes - 1) / block_bytes;
-  std::vector<std::vector<std::size_t>> block_newlines(blocks);
-  parallel::parallel_for(0, blocks, 1, [&](std::size_t b0, std::size_t b1) {
-    for (std::size_t blk = b0; blk < b1; ++blk) {
-      const std::size_t lo = blk * block_bytes;
-      const std::size_t hi = std::min(text.size(), lo + block_bytes);
-      std::vector<std::size_t>& out = block_newlines[blk];
-      const char* base = text.data();
-      std::size_t at = lo;
-      while (at < hi) {
-        const char* nl = static_cast<const char*>(
-            std::memchr(base + at, '\n', hi - at));
-        if (nl == nullptr) break;
-        at = static_cast<std::size_t>(nl - base);
-        out.push_back(at);
-        ++at;
-      }
-    }
-  });
-
-  // Line table in file order: trim a trailing '\r' per line and drop blank
-  // lines, exactly as the chunked reader's process_line does.
-  std::vector<std::pair<std::size_t, std::size_t>> rows;
-  std::size_t line_start = 0;
-  auto add_line = [&](std::size_t begin, std::size_t end) {
-    if (end > begin && text[end - 1] == '\r') --end;
-    if (end > begin) rows.emplace_back(begin, end);
-  };
-  for (const auto& nls : block_newlines) {
-    for (std::size_t nl : nls) {
-      add_line(line_start, nl);
-      line_start = nl + 1;
-    }
-  }
-  if (line_start < text.size()) add_line(line_start, text.size());
-  io_require(!rows.empty(), "read_csv: empty file " + path);
-
-  // Column count from the first row (one serial line scan).
-  std::size_t cols = 1;
-  for (std::size_t i = rows.front().first; i < rows.front().second; ++i)
-    if (text[i] == ',') ++cols;
-
-  DataFrame df;
-  df.rows = rows.size();
-  df.cols = cols;
-  df.data.resize(df.rows * df.cols);
-
-  // Phase 2: parse disjoint row ranges directly into the final buffer.
-  // Ragged rows throw; the pool rethrows the lowest-chunk error on the
-  // calling thread.
-  float* out = df.data.data();
-  parallel::parallel_for(0, rows.size(), 64, [&](std::size_t r0,
-                                                 std::size_t r1) {
-    for (std::size_t r = r0; r < r1; ++r) {
-      const char* begin = text.data() + rows[r].first;
-      const char* end = text.data() + rows[r].second;
-      float* cell = out + r * cols;
-      std::size_t c = 0;
-      const char* field = begin;
-      for (const char* p = begin; p <= end; ++p) {
-        if (p == end || *p == ',') {
-          if (c >= cols)
-            throw IoError("read_csv: ragged row (got more fields than the " +
-                          std::to_string(cols) + " expected)");
-          cell[c++] = parse_fast(field, p);
-          field = p + 1;
-        }
-      }
-      if (c != cols) throw_ragged_row(c, cols);
-    }
-  });
-
-  if (stats != nullptr) {
-    stats->seconds = watch.seconds();
-    stats->bytes = text.size();
-    stats->rows = df.rows;
-    stats->cols = df.cols;
-    stats->chunks = blocks;
-    stats->piece_allocs = 0;
-  }
-  return df;
+  return read_csv_core(path, block_bytes, true, CsvSelect{}, stats);
 }
-
-// ---------------------------------------------------------------------------
-// read_csv_selected: header skipping + column selection.
-// ---------------------------------------------------------------------------
 
 DataFrame read_csv_selected(const std::string& path, const CsvSelect& select,
                             CsvReadStats* stats, std::size_t chunk_bytes) {
   require(chunk_bytes >= 4096, "read_csv_selected: chunk must be >= 4 KiB");
-  Stopwatch watch;
-  File file(path);
-
-  // Sorted, validated selection mask.
-  std::vector<std::size_t> cols_wanted = select.usecols;
-  std::sort(cols_wanted.begin(), cols_wanted.end());
-  io_require(std::adjacent_find(cols_wanted.begin(), cols_wanted.end()) ==
-                 cols_wanted.end(),
-             "read_csv_selected: duplicate column in usecols");
-
-  DataFrame df;
-  std::size_t file_bytes = 0;
-  std::size_t file_cols = 0;   // columns in the file (before selection)
-  std::size_t line_no = 0;
-  std::vector<char> buf(chunk_bytes);
-  std::string carry;
-  std::string text;
-
-  auto process_line = [&](const char* begin, const char* end) {
-    if (begin == end) return;
-    if (line_no++ < select.skip_rows) return;
-    std::size_t c = 0;
-    std::size_t picked = 0;
-    const char* field = begin;
-    for (const char* p = begin; p <= end; ++p) {
-      if (p == end || *p == ',') {
-        const bool keep =
-            cols_wanted.empty() ||
-            (picked < cols_wanted.size() && cols_wanted[picked] == c);
-        if (keep) {
-          df.data.push_back(parse_fast(field, p));
-          ++picked;
-        }
-        field = p + 1;
-        ++c;
-      }
-    }
-    if (file_cols == 0) {
-      file_cols = c;
-      io_require(cols_wanted.empty() || cols_wanted.back() < c,
-                 "read_csv_selected: usecols index out of range (file has " +
-                     std::to_string(c) + " columns)");
-      df.cols = cols_wanted.empty() ? c : cols_wanted.size();
-    } else {
-      if (c != file_cols) throw_ragged_row(c, file_cols);
-    }
-    ++df.rows;
-  };
-
-  while (true) {
-    const std::size_t n = std::fread(buf.data(), 1, buf.size(), file.f);
-    file_bytes += n;
-    if (n == 0) break;
-    text.assign(carry);
-    text.append(buf.data(), n);
-    carry.clear();
-    const std::size_t last_nl = text.rfind('\n');
-    if (last_nl == std::string::npos) {
-      carry = text;
-      continue;
-    }
-    carry.assign(text, last_nl + 1, std::string::npos);
-    const char* p = text.data();
-    const char* chunk_end = text.data() + last_nl;
-    while (p <= chunk_end) {
-      const char* nl = static_cast<const char*>(
-          std::memchr(p, '\n', static_cast<std::size_t>(chunk_end - p + 1)));
-      if (nl == nullptr) nl = chunk_end;
-      const char* line_end = (nl > p && nl[-1] == '\r') ? nl - 1 : nl;
-      process_line(p, line_end);
-      p = nl + 1;
-    }
-  }
-  if (!carry.empty()) {
-    text.assign(carry);
-    const char* b = text.data();
-    const char* e = b + text.size();
-    if (e > b && e[-1] == '\r') --e;
-    process_line(b, e);
-  }
-
-  io_require(df.cols > 0 && df.rows > 0,
-             "read_csv_selected: no data rows in " + path);
-  if (stats != nullptr) {
-    stats->seconds = watch.seconds();
-    stats->bytes = file_bytes;
-    stats->rows = df.rows;
-    stats->cols = df.cols;
-    stats->chunks = 1;
-    stats->piece_allocs = 0;
-  }
-  return df;
+  return read_csv_core(path, chunk_bytes, false, select, stats);
 }
 
 DataFrame read_csv(const std::string& path, LoaderKind kind,

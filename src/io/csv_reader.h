@@ -1,8 +1,6 @@
 // CSV readers reproducing the data-loading strategies compared in the paper
 // (Section 5, Tables 3 and 4).
 //
-// Four strategies are implemented:
-//
 //  * read_csv_original — models `pandas.read_csv()` with its default
 //    low_memory=True: the file is tokenized in small text chunks; for every
 //    (chunk, column) pair a separate piece buffer is allocated and a dtype
@@ -12,25 +10,32 @@
 //    files (tens of thousands of columns) the per-(chunk, column) overhead
 //    dominates, exactly the pathology the paper measured on NT3/P1B1/P1B2.
 //
-//  * read_csv_chunked — the paper's fix: sequential 16 MB block reads
-//    (Spectrum Scale's largest I/O block on Summit) parsed in a single pass
-//    with std::from_chars straight into the final row-major buffer, no type
-//    re-inference and no concatenation.
+//  * One fast core, the paper's fix (low_memory=False), behind four entry
+//    points. It streams the file in blocks; per block, phase 1 builds the
+//    line table (one memchr sweep: trailing '\r' trimmed, blank lines
+//    dropped, skip_rows applied in file order) and phase 2 parses each row
+//    with std::from_chars straight into its slot of the final row-major
+//    frame — no type re-inference, no concatenation. The unfinished last
+//    line carries into the next block, so memory stays one block plus the
+//    frame. The entry points differ only in block size, in where phase 2
+//    runs and in options:
+//      - read_csv_chunked: 16 MB blocks (Spectrum Scale's largest I/O
+//        block on Summit), phase 2 on the calling thread;
+//      - read_csv_parallel: the same, with phase 2 across the calling
+//        thread's candle::parallel team (this repo's step beyond the
+//        paper);
+//      - read_csv_selected: the chunked reader plus the CANDLE loaders'
+//        header skip and usecols column filter;
+//      - read_csv_dask: a Dask-DataFrame-like reader, one block per row
+//        segment. The simulator keeps the paper's Dask figures (Tables
+//        3/4); this reader only gives them a real counterpart.
+//    Every row is checked and parsed by the same code and the first
+//    failing row in file order is the one reported, so the four return
+//    bit-identical frames, or the same IoError, for any block size and
+//    team width.
 //
-//  * read_csv_dask — a Dask-DataFrame-like strategy: the file is split into
-//    row segments parsed independently with the fast parser into per-segment
-//    frames that are concatenated at the end. The paper found it faster
-//    than the original but slower than the 16 MB chunked reader.
-//
-//  * read_csv_parallel — the threaded extension of the chunked reader
-//    (this repo's step beyond the paper): phase 1 indexes newlines per
-//    16 MB block across the candle::parallel pool, phase 2 parses disjoint
-//    row ranges with std::from_chars directly into the final row-major
-//    buffer. Cell parsing is identical to read_csv_chunked, so the frames
-//    are exactly equal for any thread count.
-//
-// All readers parse real bytes from a real file and return identical frames;
-// equivalence is enforced by tests.
+// All readers parse real bytes from a real file; equivalence is enforced
+// by tests, including a seeded mutation fuzz of the fast core.
 #pragma once
 
 #include <cstddef>
@@ -60,14 +65,15 @@ DataFrame read_csv_original(const std::string& path, CsvReadStats* stats = nullp
 DataFrame read_csv_chunked(const std::string& path, CsvReadStats* stats = nullptr,
                            std::size_t chunk_bytes = 16 * 1024 * 1024);
 
-/// Dask-like segmented reader. `segments` row partitions (default 8).
+/// Dask-like segmented reader: `segments` row partitions (default 8), each
+/// read as one block of the fast core.
 DataFrame read_csv_dask(const std::string& path, CsvReadStats* stats = nullptr,
                         std::size_t segments = 8);
 
-/// Multi-threaded two-phase reader over the candle::parallel pool (thread
-/// count from CANDLE_NUM_THREADS / parallel::set_num_threads). Exactly
-/// frame-equal to read_csv_chunked; `block_bytes` sizes the phase-1
-/// newline-index blocks (16 MiB, matching the chunked reader's I/O block).
+/// The fast core with phase 2 across the calling thread's candle::parallel
+/// team (width from CANDLE_NUM_THREADS / parallel::set_num_threads).
+/// Exactly frame-equal to read_csv_chunked; `block_bytes` sizes the
+/// streamed blocks (16 MiB, matching the chunked reader's I/O block).
 DataFrame read_csv_parallel(const std::string& path,
                             CsvReadStats* stats = nullptr,
                             std::size_t block_bytes = 16 * 1024 * 1024);

@@ -2,11 +2,18 @@
 // performance shape behind the paper's optimization), synthetic data.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <span>
 
 #include "common/error.h"
+#include "common/parallel.h"
+#include "common/rng.h"
 #include "io/binary_cache.h"
 #include "io/csv_reader.h"
 #include "io/csv_writer.h"
@@ -73,6 +80,65 @@ TEST_F(CsvWriterTest, ReportsBytesWritten) {
 
 TEST_F(CsvWriterTest, OpenFailureThrows) {
   EXPECT_THROW(CsvWriter("/nonexistent_dir_zz/x.csv"), IoError);
+}
+
+TEST_F(CsvWriterTest, WritesTheSameBytesAsPrintf) {
+  // A seeded sweep of normals and raw bit patterns (NaNs and denormals
+  // included) plus edge values, against a printf("%.6g") / "%lld"
+  // reference built here.
+  std::vector<float> values = {0.0f, -0.0f, 999999.5f, -999999.5f,
+                               std::numeric_limits<float>::infinity(),
+                               -std::numeric_limits<float>::infinity(),
+                               std::numeric_limits<float>::quiet_NaN(),
+                               std::numeric_limits<float>::denorm_min(),
+                               std::numeric_limits<float>::max(),
+                               std::numeric_limits<float>::lowest()};
+  Rng rng(2024);
+  for (int i = 0; i < 50000; ++i)
+    values.push_back(static_cast<float>(rng.normal(0.0, 100.0)));
+  for (int i = 0; i < 50000; ++i)
+    values.push_back(
+        std::bit_cast<float>(static_cast<std::uint32_t>(rng.next_u64())));
+
+  std::string expect;
+  char tmp[64];
+  constexpr std::size_t kRow = 17;
+  {
+    CsvWriter w(path("p.csv"));
+    for (std::size_t at = 0; at < values.size(); at += kRow) {
+      const std::span<const float> row(
+          values.data() + at, std::min(kRow, values.size() - at));
+      const long long label = static_cast<long long>(rng.next_u64());
+      if (at % 2 == 0) {
+        w.write_row(row);
+      } else {
+        w.write_labeled_row(label, row);
+        expect.append(tmp, static_cast<std::size_t>(std::snprintf(
+                               tmp, sizeof(tmp), "%lld,", label)));
+      }
+      for (std::size_t i = 0; i < row.size(); ++i)
+        expect.append(tmp, static_cast<std::size_t>(std::snprintf(
+                               tmp, sizeof(tmp), i ? ",%.6g" : "%.6g",
+                               static_cast<double>(row[i]))));
+      expect += '\n';
+    }
+    EXPECT_EQ(expect.size(), w.close());
+  }
+  std::ifstream in(path("p.csv"), std::ios::binary);
+  const std::string got((std::istreambuf_iterator<char>(in)), {});
+  ASSERT_EQ(expect.size(), got.size());
+  EXPECT_TRUE(expect == got);
+}
+
+TEST_F(CsvWriterTest, CloseReportsFailedFlush) {
+  // Writes to /dev/full succeed into the stdio buffer and fail when it is
+  // flushed, which is what a full disk looks like at close.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  CsvWriter w("/dev/full");
+  const float row[] = {1.0f, 2.0f};
+  w.write_row(row);
+  EXPECT_THROW(w.close(), IoError);
+  EXPECT_NO_THROW(w.close());  // already closed; the destructor is a no-op
 }
 
 // ---------------------------------------------------------------------------
@@ -347,6 +413,115 @@ INSTANTIATE_TEST_SUITE_P(
                       ReaderSweepParams{17, 1000, 8192},  // row > chunk
                       ReaderSweepParams{64, 64, 65536},   // file < chunk
                       ReaderSweepParams{500, 3, 4096}));
+
+// Seeded mutation fuzzing of the one fast parser: every fast entry point,
+// at any block size and team width, must agree on each mutant — the same
+// frame bit for bit, or the same IoError message. The original reader may
+// only return a frame or throw IoError.
+struct ReadOutcome {
+  std::string error;  // empty when the read returned a frame
+  DataFrame frame;
+
+  bool operator==(const ReadOutcome& o) const {
+    return error == o.error && frame.rows == o.frame.rows &&
+           frame.cols == o.frame.cols &&
+           frame.data.size() == o.frame.data.size() &&
+           (frame.data.empty() ||
+            std::memcmp(frame.data.data(), o.frame.data.data(),
+                        frame.data.size() * sizeof(float)) == 0);
+  }
+};
+
+template <typename Read>
+ReadOutcome outcome_of(Read&& read) {
+  try {
+    return {"", read()};
+  } catch (const IoError& e) {
+    return {e.what(), {}};
+  }
+}
+
+std::string fuzz_base_csv(Rng& rng) {
+  std::string text;
+  char tmp[32];
+  for (int r = 0; r < 170; ++r) {
+    for (int c = 0; c < 20; ++c) {
+      if (c > 0) text += ',';
+      const double v = rng.normal(0.0, 50.0);
+      switch (rng.uniform_index(4)) {
+        case 0: text += std::to_string(static_cast<long long>(v)); break;
+        case 1: break;  // empty field
+        case 2:
+          text.append(tmp, static_cast<std::size_t>(
+                               std::snprintf(tmp, sizeof(tmp), "%.3e", v)));
+          break;
+        default:
+          text.append(tmp, static_cast<std::size_t>(
+                               std::snprintf(tmp, sizeof(tmp), "%.6g", v)));
+      }
+    }
+    text += r % 9 == 4 ? "\r\n" : "\n";
+    if (r % 31 == 7) text += '\n';  // a blank line
+  }
+  return text;
+}
+
+void mutate(std::string& text, Rng& rng) {
+  static constexpr char kBytes[] = {',', '\n', '\r', '-', 'e', '.', '0',
+                                    '1', '5',  '9',  'x', '\0'};
+  if (text.empty()) return;
+  const std::size_t at = rng.uniform_index(text.size());
+  switch (rng.uniform_index(4)) {
+    case 0: text[at] = kBytes[rng.uniform_index(sizeof(kBytes))]; break;
+    case 1: text.erase(at, 1); break;
+    case 2: text.resize(at); break;
+    default: {  // duplicate the line holding `at`
+      const std::size_t begin = text.rfind('\n', at);
+      const std::size_t from = begin == std::string::npos ? 0 : begin + 1;
+      const std::size_t nl = text.find('\n', at);
+      const std::size_t to = nl == std::string::npos ? text.size() : nl + 1;
+      text.insert(to, text.substr(from, to - from));
+    }
+  }
+}
+
+TEST_F(CsvReaderTest, FastReadersAgreeOnMutatedFiles) {
+  Rng rng(16);
+  const std::string base = fuzz_base_csv(rng);
+  ASSERT_GT(base.size(), 18000u);  // ~20 KB
+  const std::string file = path("fuzz.csv");
+  const std::size_t default_width = parallel::num_threads();
+  std::size_t frames = 0;
+  for (int m = 0; m < 2000; ++m) {
+    std::string text = base;
+    const std::size_t edits = 1 + rng.uniform_index(3);
+    for (std::size_t i = 0; i < edits; ++i) mutate(text, rng);
+    write_file("fuzz.csv", text);
+
+    const ReadOutcome ref = outcome_of([&] { return read_csv_chunked(file); });
+    const auto expect_same = [&](const char* reader, auto&& read) {
+      const ReadOutcome got = outcome_of(read);
+      ASSERT_TRUE(got == ref) << reader << " on mutant " << m << ": '"
+                              << got.error << "' vs '" << ref.error << "'";
+    };
+    expect_same("chunked/4096",
+                [&] { return read_csv_chunked(file, nullptr, 4096); });
+    for (std::size_t width : {1u, 4u}) {
+      parallel::set_num_threads(width);
+      expect_same("parallel/4096",
+                  [&] { return read_csv_parallel(file, nullptr, 4096); });
+    }
+    parallel::set_num_threads(default_width);
+    expect_same("dask/3", [&] { return read_csv_dask(file, nullptr, 3); });
+    expect_same("selected", [&] { return read_csv_selected(file, {}); });
+    if (HasFatalFailure()) return;
+    (void)outcome_of([&] { return read_csv_original(file); });
+    if (ref.error.empty()) ++frames;
+  }
+  // The sweep must exercise both outcomes.
+  EXPECT_GT(frames, 100u);
+  EXPECT_LT(frames, 1900u);
+}
 
 // ---------------------------------------------------------------------------
 // Binary frame cache (the beyond-the-paper loader)
